@@ -6,6 +6,7 @@
 // protocol costs move.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <vector>
 
 #include "gmp/messages.hpp"
@@ -132,6 +133,52 @@ static void BM_SimCore_TimerCancel(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(cancelled), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimCore_TimerCancel);
+
+/// Skip engine cost per skip with N foreground scripts parked far past the
+/// frontier (a soak run's queued client ops) and a background cadence each
+/// skip elides: one environment beat timer plus one in-flight ping.  The
+/// skip pops those two off the heap front, so the N-deep queue only enters
+/// through the foreground-deadline scan; a rebuild of the whole heap per
+/// skip would make the cost grow with N at a much steeper slope.
+static void BM_SimCore_SkipDeepQueue(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  SimWorld w(7, DelayModel{1, 1});
+  PingPong a, b;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
+  w.set_background_kinds(20, 21);
+  w.set_background_sink([](ProcessId, ProcessId, uint32_t) {});
+  w.start();
+  constexpr Tick kPeriod = 10;
+  constexpr Tick kParked = Tick{1} << 50;  // far beyond any skip target
+  for (size_t i = 0; i < n; ++i) w.at(kParked + i, [] {});
+  const std::vector<ProcessId> fan{1};
+  Tick next = kPeriod;
+  std::function<void()> beat = [&] {
+    w.send_background_wave(0, fan, 20);
+    next = w.now() + kPeriod;
+    w.set_environment_timer(kPeriod, beat);
+  };
+  w.set_environment_timer(kPeriod, beat);
+  // Each skip jumps two and a half periods; the hook re-arms the beat on
+  // its phase and puts a fresh ping in flight for the next skip to elide.
+  w.set_horizon_provider([](Tick now) { return now + 2 * kPeriod + kPeriod / 2; });
+  w.set_skip_hook([&](Tick, Tick to) {
+    next += ((to - next + kPeriod - 1) / kPeriod) * kPeriod;
+    w.set_environment_timer(next - to, beat);
+    w.send_background_wave(0, fan, 20);
+  });
+  for (auto _ : state) {
+    if (!w.try_skip()) {
+      state.SkipWithError("skip refused");
+      break;
+    }
+  }
+  state.counters["queued"] = static_cast<double>(w.queued_events());
+  state.counters["skips/s"] = benchmark::Counter(static_cast<double>(state.iterations()),
+                                                 benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimCore_SkipDeepQueue)->Arg(64)->Arg(256)->Arg(1024);
 
 /// Codec round-trip for the largest GMP message: a ViewTransfer carrying a
 /// 16-member view and a 32-operation committed history (a joiner bootstrap

@@ -2,6 +2,92 @@
 
 namespace gmpx::fd {
 
+namespace {
+
+/// How `q`'s upkeep keeps refreshing monitor `mid`'s proof of life across
+/// an event-free span, if at all: admitted peers ping the members of
+/// *their* view; unadmitted joiners are audible only as acks to `mid`'s
+/// pings.  A severed channel, a quit peer, or S1 isolation in either
+/// direction breaks the stream.  Purely structural — whether the stream
+/// outpaces the timeout under the current delay model is SteadyGate's
+/// chain condition.  Both timeout detectors' horizons and fast-forward
+/// refreshes reason from this one rule, computed once per pair per walk.
+enum Refresh : uint8_t { kNoRefresh, kPing, kAck };
+
+Refresh refresh_stream(const FailureDetector::Env& env, ProcessId q, ProcessId mid) {
+  const sim::SimWorld& w = *env.world;
+  if (w.crashed(q)) return kNoRefresh;
+  const gmp::GmpNode* qn = env.node(q);
+  if (!qn || qn->has_quit() || w.channel_blocked(q, mid)) return kNoRefresh;
+  if (qn->admitted()) {
+    // q's own ping stream answers for it — towards the members of q's
+    // view, and only while q has not isolated mid (S1: no pings to an
+    // accused peer).
+    return qn->view().contains(mid) && !qn->isolated().count(mid) ? kPing : kNoRefresh;
+  }
+  // A committed-but-unbootstrapped joiner cannot ping; it is audible only
+  // as acks to mid's pings — which need mid to be an admitted pinger with
+  // q in its view, the mid -> q channel open, and q not to have isolated
+  // mid (its monitor drops isolated senders).
+  const gmp::GmpNode* mn = env.node(mid);
+  if (!mn || !mn->admitted() || !mn->view().contains(q)) return kNoRefresh;
+  return !w.channel_blocked(mid, q) && !qn->isolated().count(mid) ? kAck : kNoRefresh;
+}
+
+/// A refreshable pair is *steady* when neither its current staleness nor
+/// any future scan can cross its silence bound before a guaranteed refresh
+/// lands: one channel delay (`per_frame`) after a wave for a pinger, a
+/// full round trip for an acker.  Two conditions: the refresh *chain* must
+/// outpace the bound under the current delay model — successive guaranteed
+/// arrivals, one per wave, make that exactly ceil(lag / interval) *
+/// interval <= bound, independent of phase, so a delay span hot enough to
+/// break it demotes pairs individually instead of blinding the horizon —
+/// and the *initial* window until the first guaranteed refresh (its last
+/// scan is `last_risky`) must stay under it.  Steady pairs are exempt from
+/// the horizon and refreshed by on_fast_forward; everything else stays a
+/// candidate so the wave that would judge it in a skip-free run really
+/// executes.  A closed gate (`open` false: a fault axis that breaks the
+/// refresh guarantee is live) certifies nothing.  Everything but the pair's
+/// stream, staleness and bound is constant per walk, so it is computed once.
+struct SteadyGate {
+  bool open;
+  Tick chain[3] = {};
+  Tick last_risky[3] = {};
+
+  SteadyGate(bool open_, Tick per_frame, Tick interval, Tick wave0) : open(open_) {
+    for (Refresh r : {kPing, kAck}) {
+      const Tick lag = r == kPing ? per_frame : 2 * per_frame;
+      chain[r] = ((lag + interval - 1) / interval) * interval;
+      last_risky[r] = wave0 + (lag / interval) * interval;
+    }
+  }
+  /// `seen` is the effective last-heard tick (grace substituted).
+  bool steady(Refresh r, Tick seen, Tick bound) const {
+    return open && r != kNoRefresh && chain[r] <= bound && last_risky[r] <= seen + bound;
+  }
+};
+
+/// Heartbeat steadiness: any nonzero loss probability closes the gate (a
+/// refresh that may be dropped is not a guarantee; fault spans are bounded
+/// and script-delimited, so certification resumes the moment one heals),
+/// and reordered frames dodge the FIFO clamp, landing up to the reordering
+/// slack later still.
+SteadyGate heartbeat_gate(const sim::SimWorld& w, const HeartbeatOptions& o, Tick wave0) {
+  const sim::ChannelFaults& f = w.channel_faults();
+  const Tick slack = f.reorder_permille > 0 ? f.reorder_slack : 0;
+  return SteadyGate(f.loss_permille == 0, w.delays().max_delay + slack, o.interval, wave0);
+}
+
+/// φ steadiness is stricter: ANY live fault axis closes the gate.  Loss
+/// breaks the refresh guarantee, and duplication / reordering perturb the
+/// inter-arrival samples themselves — the fit's future trajectory (and
+/// with it any silence bound) becomes unprovable.
+SteadyGate phi_gate(const sim::SimWorld& w, const PhiOptions& o, Tick wave0) {
+  return SteadyGate(!w.channel_faults().any(), w.delays().max_delay, o.interval, wave0);
+}
+
+}  // namespace
+
 const char* to_string(DetectorKind k) {
   switch (k) {
     case DetectorKind::kOracle: return "oracle";
@@ -82,30 +168,6 @@ void HeartbeatDetector::wave() {
   }
 }
 
-bool HeartbeatDetector::refreshable(ProcessId q, ProcessId mid) const {
-  // Purely structural: does a refresh *stream* exist?  Whether that stream
-  // outpaces the timeout under the current delay model is steady()'s
-  // chain condition, not a property of the stream itself.
-  const sim::SimWorld& w = *env_.world;
-  if (w.crashed(q)) return false;
-  gmp::GmpNode* qn = env_.node(q);
-  if (!qn || qn->has_quit()) return false;
-  if (w.channel_blocked(q, mid)) return false;
-  if (qn->admitted()) {
-    // q's own ping stream answers for it — towards the members of q's
-    // view, and only while q has not isolated mid (S1: no pings to an
-    // accused peer).
-    return qn->view().contains(mid) && !qn->isolated().count(mid);
-  }
-  // A committed-but-unbootstrapped joiner cannot ping; it is audible only
-  // as acks to mid's pings — which need mid to be an admitted pinger with
-  // q in its view, the mid -> q channel open, and q not to have isolated
-  // mid (its monitor drops isolated senders).
-  gmp::GmpNode* mn = env_.node(mid);
-  if (!mn || !mn->admitted() || !mn->view().contains(q)) return false;
-  return !w.channel_blocked(mid, q) && !qn->isolated().count(mid);
-}
-
 Tick HeartbeatDetector::next_possible_detection(Tick now) const {
   if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
   // Per-pair reasoning, valid under any delay model: a pair whose refresh
@@ -122,6 +184,7 @@ Tick HeartbeatDetector::next_possible_detection(Tick now) const {
   // deterministic, the heartbeat axis's documented wave-elision
   // divergence.)
   const Tick wave0 = next_wave_ > now ? next_wave_ : now;
+  const SteadyGate gate = heartbeat_gate(*env_.world, opts_, wave0);
   Tick best = kNoDetection;
   for (const auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
@@ -131,6 +194,7 @@ Tick HeartbeatDetector::next_possible_detection(Tick now) const {
       if (q == mid || node.isolated().count(q)) continue;  // scan never suspects these
       Tick seen = m->last_heard(q);
       if (seen == 0) seen = wave0;  // first sighting: grace starts at the next scan
+      const Refresh r = refresh_stream(env_, q, mid);
       // A pair whose upkeep keeps flowing cannot cross the timeout — but
       // only once it is *steady*: its refresh chain outpaces the timeout
       // and no scan before the next guaranteed arrival may find the
@@ -138,11 +202,11 @@ Tick HeartbeatDetector::next_possible_detection(Tick now) const {
       // just-ended storm fails this and stays a candidate, so the wave
       // that would suspect it in a skip-free run really executes (an
       // elided in-flight arrival replay can still clear it first).
-      if (steady(q, mid, seen, wave0)) continue;
+      if (gate.steady(r, seen, opts_.timeout)) continue;
       // The scan suspects at the first wave tick W with W - seen > timeout.
       Tick fire = wave0;
       if (fire <= seen + opts_.timeout) {
-        if (refreshable(q, mid)) {
+        if (r != kNoRefresh) {
           // Not provably steady, but still fed by upkeep: whether the next
           // wave's in-flight pings refresh it before its silence crosses
           // the timeout is a question of random frame timing the horizon
@@ -157,39 +221,6 @@ Tick HeartbeatDetector::next_possible_detection(Tick now) const {
     }
   }
   return best;
-}
-
-bool HeartbeatDetector::steady(ProcessId q, ProcessId mid, Tick seen, Tick wave0) const {
-  if (!refreshable(q, mid)) return false;
-  const sim::SimWorld& w = *env_.world;
-  // A refresh that may be dropped is not a guarantee: any nonzero loss
-  // probability suspends steadiness certification outright (fault spans
-  // are bounded and script-delimited, so certification resumes — and with
-  // it the benign skip ratio — the moment the span heals).
-  if (w.channel_faults().loss_permille > 0) return false;
-  // Refresh lag: an admitted peer's wave ping arrives within one channel
-  // delay; an unadmitted joiner answers mid's ping, a full round trip.
-  // Reordered frames dodge the FIFO clamp and may land up to the
-  // reordering slack later still.
-  gmp::GmpNode* qn = env_.node(q);
-  Tick per_frame = w.delays().max_delay;
-  if (w.channel_faults().reorder_permille > 0) per_frame += w.channel_faults().reorder_slack;
-  const Tick lag = (qn && qn->admitted()) ? per_frame : 2 * per_frame;
-  // Chain condition: successive guaranteed arrivals (one per wave, each at
-  // most `lag` after its wave) must be dense enough that every scan sees a
-  // refresh at most `timeout` old.  Wave cadence makes that exactly
-  // ceil(lag / interval) * interval <= timeout — independent of phase, so
-  // it holds for the whole span or not at all.  This is what replaces the
-  // old whole-horizon benign-delay bail: a delay span hot enough to break
-  // the chain demotes pairs individually instead of blinding the horizon.
-  const Tick chain = ((lag + opts_.interval - 1) / opts_.interval) * opts_.interval;
-  if (chain > opts_.timeout) return false;
-  // Initial window: scans before the first guaranteed refresh lands see
-  // only the current staleness; if even the last of them cannot cross the
-  // timeout, the pair is quiet until the refresh, and steadily-refreshing
-  // thereafter.
-  const Tick last_risky = wave0 + (lag / opts_.interval) * opts_.interval;
-  return last_risky <= seen + opts_.timeout;
 }
 
 void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
@@ -224,6 +255,7 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
   // were already replayed at their true ticks and there was no other
   // traffic to model.
   if (!wave_elided) return;
+  const SteadyGate gate = heartbeat_gate(w, opts_, w0);
   for (auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
     const ProcessId mid = node.id();
@@ -232,7 +264,8 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
       for (ProcessId q : node.view().members()) {
         if (q == mid || node.isolated().count(q)) continue;
         if (m->last_heard(q) == 0) m->mark_heard(q, w0);
-        if (steady(q, mid, m->last_heard(q), w0)) m->mark_heard(q, to);
+        if (gate.steady(refresh_stream(env_, q, mid), m->last_heard(q), opts_.timeout))
+          m->mark_heard(q, to);
       }
     } else {
       // A committed-but-unbootstrapped joiner has no view to walk, but
@@ -244,7 +277,7 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
       for (ProcessId q : *env_.ids) {
         if (q == mid || node.isolated().count(q)) continue;
         const Tick seen = m->last_heard(q) == 0 ? w0 : m->last_heard(q);
-        if (steady(q, mid, seen, w0)) m->mark_heard(q, to);
+        if (gate.steady(refresh_stream(env_, q, mid), seen, opts_.timeout)) m->mark_heard(q, to);
       }
     }
   }
@@ -254,8 +287,8 @@ void HeartbeatDetector::on_elided_background(ProcessId from, ProcessId to, uint3
                                              Tick when) {
   // Mirror on_background_packet's acceptance rules (dead/quit receivers
   // hear nothing, S1 drops isolated senders) but only record the proof of
-  // life — nothing is sent during a skip.  Arrivals replay in unspecified
-  // order, so keep the freshest.
+  // life — nothing is sent during a skip.  Arrivals replay in (tick, seq)
+  // order, so the freshest lands last; the guard keeps the table monotone.
   HeartbeatFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
   if (!m) return;
   if (env_.world->crashed(to)) return;
@@ -346,22 +379,6 @@ void PhiAccrualDetector::wave() {
   }
 }
 
-bool PhiAccrualDetector::refreshable(ProcessId q, ProcessId mid) const {
-  // Structurally identical to HeartbeatDetector::refreshable: does a
-  // refresh stream exist at all?
-  const sim::SimWorld& w = *env_.world;
-  if (w.crashed(q)) return false;
-  gmp::GmpNode* qn = env_.node(q);
-  if (!qn || qn->has_quit()) return false;
-  if (w.channel_blocked(q, mid)) return false;
-  if (qn->admitted()) {
-    return qn->view().contains(mid) && !qn->isolated().count(mid);
-  }
-  gmp::GmpNode* mn = env_.node(mid);
-  if (!mn || !mn->admitted() || !mn->view().contains(q)) return false;
-  return !w.channel_blocked(mid, q) && !qn->isolated().count(mid);
-}
-
 Tick PhiAccrualDetector::pair_bound(const PhiFd& m, ProcessId q) const {
   // Lower bound on every value suspect_after(q) can take while benign
   // cadence samples keep arriving.  Future gaps under the current delay
@@ -385,27 +402,6 @@ Tick PhiAccrualDetector::pair_bound(const PhiFd& m, ProcessId q) const {
   return b;
 }
 
-bool PhiAccrualDetector::steady(const PhiFd& m, ProcessId q, ProcessId mid, Tick seen,
-                                Tick wave0) const {
-  if (!refreshable(q, mid)) return false;
-  const sim::SimWorld& w = *env_.world;
-  // Stricter than the heartbeat gate: ANY live fault axis suspends
-  // certification.  Loss breaks the refresh guarantee, and duplication /
-  // reordering perturb the inter-arrival samples themselves — the fit's
-  // future trajectory (and with it any silence bound) becomes unprovable.
-  if (w.channel_faults().any()) return false;
-  gmp::GmpNode* qn = env_.node(q);
-  const Tick lag = (qn && qn->admitted()) ? w.delays().max_delay : 2 * w.delays().max_delay;
-  // Same chain + initial-window conditions as HeartbeatDetector::steady,
-  // against the conservative moving-threshold bound instead of a fixed
-  // timeout.
-  const Tick bound = pair_bound(m, q);
-  const Tick chain = ((lag + opts_.interval - 1) / opts_.interval) * opts_.interval;
-  if (chain > bound) return false;
-  const Tick last_risky = wave0 + (lag / opts_.interval) * opts_.interval;
-  return last_risky <= seen + bound;
-}
-
 Tick PhiAccrualDetector::next_possible_detection(Tick now) const {
   if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
   // Mirrors HeartbeatDetector::next_possible_detection with two twists:
@@ -416,6 +412,7 @@ Tick PhiAccrualDetector::next_possible_detection(Tick now) const {
   // delay the post-skip scan that judges it, never conjure a suspicion a
   // skip-free run could not produce.
   const Tick wave0 = next_wave_ > now ? next_wave_ : now;
+  const SteadyGate gate = phi_gate(*env_.world, opts_, wave0);
   Tick best = kNoDetection;
   for (const auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
@@ -425,11 +422,12 @@ Tick PhiAccrualDetector::next_possible_detection(Tick now) const {
       if (q == mid || node.isolated().count(q)) continue;
       Tick seen = m->last_heard(q);
       if (seen == 0) seen = wave0;
-      if (steady(*m, q, mid, seen, wave0)) continue;
+      const Refresh r = refresh_stream(env_, q, mid);
+      if (gate.steady(r, seen, pair_bound(*m, q))) continue;
       const Tick threshold = m->suspect_after(q);
       Tick fire = wave0;
       if (fire <= seen + threshold) {
-        if (refreshable(q, mid)) {
+        if (r != kNoRefresh) {
           // Fed by upkeep but not provably steady: the next wave's frames
           // decide — never skip past them.
           if (wave0 < best) best = wave0;
@@ -461,6 +459,7 @@ void PhiAccrualDetector::on_fast_forward(Tick from, Tick to) {
     w.set_environment_timer(next_wave_ - to, [this] { wave(); });
   }
   if (!wave_elided) return;
+  const SteadyGate gate = phi_gate(w, opts_, w0);
   for (auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
     const ProcessId mid = node.id();
@@ -469,13 +468,15 @@ void PhiAccrualDetector::on_fast_forward(Tick from, Tick to) {
       for (ProcessId q : node.view().members()) {
         if (q == mid || node.isolated().count(q)) continue;
         if (m->last_heard(q) == 0) m->mark_heard(q, w0);
-        if (steady(*m, q, mid, m->last_heard(q), w0)) m->mark_heard(q, to);
+        if (gate.steady(refresh_stream(env_, q, mid), m->last_heard(q), pair_bound(*m, q)))
+          m->mark_heard(q, to);
       }
     } else {
       for (ProcessId q : *env_.ids) {
         if (q == mid || node.isolated().count(q)) continue;
         const Tick seen = m->last_heard(q) == 0 ? w0 : m->last_heard(q);
-        if (steady(*m, q, mid, seen, w0)) m->mark_heard(q, to);
+        if (gate.steady(refresh_stream(env_, q, mid), seen, pair_bound(*m, q)))
+          m->mark_heard(q, to);
       }
     }
   }
@@ -487,13 +488,15 @@ void PhiAccrualDetector::on_elided_background(ProcessId from, ProcessId to, uint
   // arrival feeds the inter-arrival ring (record_arrival) — it happened at
   // exactly `when` in a skip-free run too.  The modeled ack of a live
   // unadmitted receiver is synthetic timing (its own delay draw never
-  // happened), so it refreshes proof of life without sampling.
+  // happened), so it refreshes proof of life without sampling.  Arrivals
+  // replay in (tick, seq) order, so two elided arrivals of one pair both
+  // land in the ring, earliest first, exactly as in a skip-free run.
   PhiFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
   if (!m) return;
   if (env_.world->crashed(to)) return;
   const gmp::GmpNode& node = m->node();
   if (node.has_quit() || node.isolated().count(from)) return;
-  if (when > m->last_heard(from)) m->record_arrival(from, when);
+  m->record_arrival(from, when);
   if (kind != gmp::kind::kHeartbeat || node.admitted()) return;
   if (env_.world->channel_blocked(to, from)) return;  // the ack would be held
   PhiFd* back = from < monitor_by_id_.size() ? monitor_by_id_[from] : nullptr;

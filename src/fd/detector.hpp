@@ -65,12 +65,17 @@ struct OracleOptions {
 /// cluster binds it to the deployment before registering any actor.
 class FailureDetector {
  public:
-  /// The deployment as the detector sees it.  `ids` and `node` stay valid
-  /// (and `ids` keeps growing as joiners register) for the cluster lifetime.
+  /// The deployment as the detector sees it.  `nodes` and `ids` are
+  /// borrowed from the cluster and stay valid (and keep growing as joiners
+  /// register) for the cluster lifetime.
   struct Env {
     sim::SimWorld* world = nullptr;
-    std::function<gmp::GmpNode*(ProcessId)> node;  ///< nullptr when unknown
-    const std::vector<ProcessId>* ids = nullptr;   ///< deterministic order
+    const std::vector<std::unique_ptr<gmp::GmpNode>>* nodes = nullptr;  ///< dense by id
+    const std::vector<ProcessId>* ids = nullptr;  ///< deterministic order
+    /// The node registered under `id`; nullptr when unknown.
+    gmp::GmpNode* node(ProcessId id) const {
+      return id < nodes->size() ? (*nodes)[id].get() : nullptr;
+    }
   };
 
   virtual ~FailureDetector() = default;
@@ -141,8 +146,8 @@ class FailureDetector {
   /// before the span, so it still lands in a skip-free run even across a
   /// partition cut or after its sender's death.  Replay its state effect
   /// (proof-of-life refresh at the true arrival tick) without sending
-  /// anything; called once per elided arrival, in unspecified order,
-  /// before on_fast_forward.
+  /// anything; called once per elided arrival, in (tick, seq) order — the
+  /// order a skip-free run delivers them in — before on_fast_forward.
   virtual void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) {
     (void)from;
     (void)to;
@@ -236,29 +241,6 @@ class HeartbeatDetector final : public FailureDetector {
   void wave();
   /// Fast-path delivery of a ping/ack to the destination's monitor.
   void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
-  /// Would `q` keep refreshing monitor `mid`'s proof of life across an
-  /// event-free span?  Admitted peers refresh by pinging the members of
-  /// *their* view; unadmitted joiners only by acking `mid`'s pings.  A
-  /// severed channel, a quit peer, or S1 isolation in either direction
-  /// breaks the stream.  This predicate must stay the exact complement of
-  /// the pairs next_possible_detection() treats as silence candidates —
-  /// the horizon and the fast-forward refresh reason from the same rule.
-  bool refreshable(ProcessId q, ProcessId mid) const;
-  /// A refreshable pair is *steady* when neither its current staleness nor
-  /// any future scan can cross the timeout before a guaranteed refresh
-  /// lands (one channel delay after a wave for an admitted pinger, a full
-  /// round trip for an unadmitted acker — plus the reordering slack when
-  /// that fault axis is live).  Two conditions: the refresh *chain* must
-  /// outpace the timeout under the current delay model (false in storms
-  /// hot enough to provoke false suspicions), and the *initial* window
-  /// until the first guaranteed refresh must stay under it.  Steady pairs
-  /// are exempt from the horizon and are refreshed by on_fast_forward;
-  /// everything else stays a candidate so the wave that would judge it in
-  /// a skip-free run really executes.  Any nonzero loss probability
-  /// disbands steadiness entirely: a refresh that may be dropped is not a
-  /// guarantee.  `seen` is the effective last-heard tick (grace
-  /// substituted), `wave0` the next wave.
-  bool steady(ProcessId q, ProcessId mid, Tick seen, Tick wave0) const;
 
   HeartbeatOptions opts_;
   std::vector<std::unique_ptr<HeartbeatFd>> monitors_;
@@ -309,8 +291,6 @@ class PhiAccrualDetector final : public FailureDetector {
  private:
   void wave();
   void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
-  /// Same structural predicate as HeartbeatDetector::refreshable.
-  bool refreshable(ProcessId q, ProcessId mid) const;
   /// Conservative per-pair silence bound for horizon/steadiness reasoning:
   /// a lower bound on every value the pair's fitted threshold can take
   /// while benign cadence samples keep arriving.  min(current fit floor,
@@ -318,8 +298,6 @@ class PhiAccrualDetector final : public FailureDetector {
   /// span certified against it stays certified as elided arrivals are
   /// replayed into the ring.
   Tick pair_bound(const PhiFd& m, ProcessId q) const;
-  /// Steadiness under the moving threshold; see HeartbeatDetector::steady.
-  bool steady(const PhiFd& m, ProcessId q, ProcessId mid, Tick seen, Tick wave0) const;
 
   PhiOptions opts_;
   Tick zmargin_ = 0;  ///< ceil(z(threshold) · min_stddev), fixed at construction

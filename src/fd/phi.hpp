@@ -193,8 +193,9 @@ class PhiFd final : public Actor {
   /// replayed through on_elided_background and DO sample).
   void mark_heard(ProcessId q, Tick t) { pair(q).last = t; }
 
-  /// mark_heard, but never moves `last` backwards (packet paths can race
-  /// replayed arrivals in unspecified order).
+  /// mark_heard, but never moves `last` backwards.  Replayed elided
+  /// arrivals never land past their skip's target, so a packet delivered
+  /// after the skip is not older than them; the guard keeps that local.
   void mark_heard_fresh(ProcessId q, Tick t) {
     Pair& p = pair(q);
     if (t > p.last) p.last = t;

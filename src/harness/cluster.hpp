@@ -190,11 +190,7 @@ class Cluster {
     world_.set_elision_sink([this](ProcessId from, ProcessId to, uint32_t kind, Tick when) {
       detector_->on_elided_background(from, to, kind, when);
     });
-    detector_->bind({&world_,
-                     [this](ProcessId id) -> gmp::GmpNode* {
-                       return id < nodes_.size() ? nodes_[id].get() : nullptr;
-                     },
-                     &ids_});
+    detector_->bind({&world_, &nodes_, &ids_});
     initial_scratch_.clear();
     for (size_t i = 0; i < opts_.n; ++i)
       initial_scratch_.push_back(static_cast<ProcessId>(i));

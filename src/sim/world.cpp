@@ -615,28 +615,28 @@ bool SimWorld::try_skip() {
   }
   if (fg_next < target) target = fg_next;
   if (target <= front_time || target == kNeverTick) return false;
-  // Elide every non-foreground event strictly before the frontier.  Events
-  // *at* the frontier keep their seq order with whatever fires there.
+  // Elide every event strictly before the frontier.  target <= fg_next, so
+  // none of them is live foreground: pop them off the heap front in (tick,
+  // seq) order — the order a skip-free run would dispatch them in, which
+  // the elision sink's replays rely on — at O(elided · log q), leaving the
+  // rest of the heap untouched.  Events *at* the frontier keep their seq
+  // order with whatever fires there.
   const Tick from = now_;
-  size_t kept = 0;
   uint64_t elided = 0;
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    Event& e = queue_[i];
-    if (e.time < target && !live_foreground(e)) {
-      // Stale cancelled-timer entries are dropped too but not counted:
-      // skipped_events() reports *background events elided*, and a stale
-      // entry would have been a no-op pop either way.
-      const bool stale_timer =
-          e.kind == EventKind::kTimer &&
-          !(timer_slots_[e.a].armed && timer_slots_[e.a].gen == e.gen);
-      discard_elided(e);
-      if (!stale_timer) ++elided;
-    } else {
-      queue_[kept++] = e;
-    }
+  while (!queue_.empty() && queue_.front().time < target) {
+    const Event e = queue_.front();
+    std::pop_heap(queue_.begin(), queue_.end(), EventCmp{});
+    queue_.pop_back();
+    assert(!live_foreground(e) && "a skip never elides foreground work");
+    // Stale cancelled-timer entries are dropped too but not counted:
+    // skipped_events() reports *background events elided*, and a stale
+    // entry would have been a no-op pop either way.
+    const bool stale_timer =
+        e.kind == EventKind::kTimer &&
+        !(timer_slots_[e.a].armed && timer_slots_[e.a].gen == e.gen);
+    discard_elided(e);
+    if (!stale_timer) ++elided;
   }
-  queue_.resize(kept);
-  std::make_heap(queue_.begin(), queue_.end(), EventCmp{});
   now_ = target;
   ++skips_;
   skipped_events_ += elided;

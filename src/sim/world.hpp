@@ -334,17 +334,21 @@ class SimWorld {
   /// true arrival tick or a skip could fire a detection a skip-free run
   /// never fires.  Replays must not send (any response frame the arrival
   /// would have triggered is covered by the skip hook's reconciliation).
-  /// Call order within one skip is unspecified; effects must commute
-  /// (take the max arrival per pair).
+  /// Calls within one skip come in (tick, seq) order — the order a
+  /// skip-free run delivers the frames in — so order-sensitive effects
+  /// (φ's inter-arrival ring) record exactly the samples that run records.
   using ElisionSink = std::function<void(ProcessId from, ProcessId to, uint32_t kind, Tick when)>;
   void set_elision_sink(ElisionSink sink) { elision_sink_ = std::move(sink); }
 
   /// Attempt one fast-forward: if the next queued event is background (or
   /// a stale cancelled-timer entry) and the skip frontier — the earlier of
   /// the horizon provider's answer and the first live foreground deadline
-  /// — lies beyond it, elide everything non-foreground before the frontier
-  /// and jump the clock there.  Returns true if the clock moved.  Requires
-  /// a horizon provider; the run loops call this, and tests may.
+  /// — lies beyond it, elide everything before the frontier and jump the
+  /// clock there.  Elided events are popped off the heap front in (tick,
+  /// seq) order at O(elided · log q); only the scan for the first live
+  /// foreground deadline still reads the whole queue.  Returns true if the
+  /// clock moved.  Requires a horizon provider; the run loops call this,
+  /// and tests may.
   bool try_skip();
 
   /// Fast-forward telemetry since construction/reset: simulated ticks

@@ -649,6 +649,63 @@ TEST(SimEdge, ElidedInFlightBackgroundArrivalsAreReplayedToTheSink) {
   EXPECT_EQ(replayed[0], (std::tuple<ProcessId, ProcessId, uint32_t, Tick>{0, 1, 20, 10}));
 }
 
+TEST(SimEdge, SkipReplaysElidedArrivalsInTickSeqOrderAndKeepsTheHeapOrdered) {
+  // Batched waves ride outside the channel FIFO clamp, so sending them
+  // under shrinking delays queues one pair's arrivals latest-first and
+  // leaves the heap array out of time order.  A skip must still replay
+  // them in (tick, seq) order — the order a skip-free run delivers them
+  // in, which the φ inter-arrival ring depends on — and leave the events
+  // past the frontier dispatching in (tick, seq) order.
+  SimWorld w(1, DelayModel{1, 1});
+  Probe a, b;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
+  w.set_background_kinds(20, 21);
+  std::vector<std::pair<Tick, int>> log;  ///< (tick, tag) of every dispatch
+  w.set_background_sink(
+      [&](ProcessId, ProcessId, uint32_t kind) { log.emplace_back(w.now(), kind); });
+  w.start();
+  const std::vector<ProcessId> fan{1};
+  auto wave_in = [&](Tick delay, uint32_t kind) {
+    w.set_delays(DelayModel{delay, delay});
+    w.send_background_wave(0, fan, kind);
+  };
+  wave_in(650, 20);  // past the frontier
+  wave_in(100, 20);
+  wave_in(60, 20);
+  wave_in(550, 20);  // past the frontier
+  wave_in(20, 20);
+  wave_in(30, 21);  // same tick as the next: seq decides
+  wave_in(30, 20);
+  Context& ctx0 = *w.context_of(0);
+  ctx0.cancel_timer(ctx0.set_timer(40, [] { FAIL() << "cancelled timer fired"; }));
+  w.set_environment_timer(70, [] { FAIL() << "elided background timer fired"; });
+  for (Tick t : {700, 500, 600}) w.at(t, [&] { log.emplace_back(w.now(), 0); });
+  std::vector<std::pair<Tick, uint32_t>> replayed;
+  w.set_elision_sink([&](ProcessId from, ProcessId to, uint32_t kind, Tick when) {
+    EXPECT_EQ(from, 0u);
+    EXPECT_EQ(to, 1u);
+    replayed.emplace_back(when, kind);
+  });
+  w.set_horizon_provider([](Tick) { return kNeverTick; });
+
+  ASSERT_TRUE(w.try_skip());
+  EXPECT_EQ(w.now(), 500u);  // the first script pins the frontier
+  const std::vector<std::pair<Tick, uint32_t>> want_replay{
+      {20, 20}, {30, 21}, {30, 20}, {60, 20}, {100, 20}};
+  EXPECT_EQ(replayed, want_replay);
+  // Five waves and the live environment timer; the cancelled timer's stale
+  // entry is dropped without counting.
+  EXPECT_EQ(w.skipped_events(), 6u);
+  EXPECT_TRUE(log.empty());
+
+  w.run_until(1000);
+  const std::vector<std::pair<Tick, int>> want_dispatch{
+      {500, 0}, {550, 20}, {600, 0}, {650, 20}, {700, 0}};
+  EXPECT_EQ(log, want_dispatch);
+  EXPECT_EQ(w.queued_events(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Channel faults (loss / duplication / reordering) on background traffic
 // ---------------------------------------------------------------------------
