@@ -34,6 +34,17 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms must be replaced too: std::stable_sort's temporary
+// buffer comes from nothrow new and goes back through the operator delete
+// above, which sanitizers flag as a mismatch against the library's new.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++gmpx::detail::t_alloc_count;
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++gmpx::detail::t_alloc_count;
+  return std::malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

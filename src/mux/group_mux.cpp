@@ -37,10 +37,11 @@ constexpr scenario::Profile kBaseProfiles[] = {
     scenario::Profile::kLossy,
 };
 
-/// One pooled deployment slot.  The Cluster persists across occupancies
-/// (reset() is capacity-preserving); everything else is per-group state
-/// rebuilt on create.  Slots live behind unique_ptr so addresses stay
-/// stable for the reference captures in StagedRun and SoakHost.
+/// One pooled deployment slot, held only while its group runs.  The Cluster
+/// persists across occupancies (reset() is capacity-preserving); everything
+/// else is per-group state rebuilt on create.  Slots live behind unique_ptr
+/// so addresses stay stable for the reference captures in StagedRun and
+/// SoakHost.
 struct GroupSlot {
   harness::Cluster cluster{harness::ClusterOptions{}};
   const GroupSpec* spec = nullptr;
@@ -49,7 +50,6 @@ struct GroupSlot {
   scenario::ExecOptions exec;
   std::optional<soak::SoakHost> host;
   std::optional<scenario::StagedRun> run;
-  bool concluded = false;
 };
 
 /// Cohort activation heap entry, ordered by (due, seq) like the sim's own
@@ -79,7 +79,6 @@ class MuxEngine {
     res_.groups = plan_.groups.size();
     res_.horizon = plan_.horizon;
     hashes_.assign(plan_.groups.size(), 0);
-    active_.assign(plan_.groups.size(), 0);
     for (const GroupSpec& g : plan_.groups) {
       push(Entry{g.create_at, seq_++, g.gid, Phase::kCreate});
       push(Entry{g.retire_at, seq_++, g.gid, Phase::kRetire});
@@ -98,6 +97,7 @@ class MuxEngine {
     for (uint64_t gh : hashes_) h = mix64(h ^ gh);
     res_.trace_hash = h;
     res_.peak_resident = peak_resident_;
+    res_.peak_slots = slots_.size();
     if (plan_.horizon > 0 && peak_resident_ > 0) {
       res_.occupancy = static_cast<double>(lifetime_sum_) /
                        (static_cast<double>(plan_.horizon) * static_cast<double>(peak_resident_));
@@ -135,14 +135,12 @@ class MuxEngine {
       slots_.push_back(std::make_unique<GroupSlot>());
     }
     directory_.at(gid) = static_cast<int32_t>(idx + 1);
-    active_[gid] = 1;
     ++resident_;
     peak_resident_ = std::max(peak_resident_, resident_);
     lifetime_sum_ += spec.retire_at - spec.create_at;
 
     GroupSlot& slot = *slots_[idx];
     slot.spec = &spec;
-    slot.concluded = false;
 
     // Per-group fault schedule: the spec's profile over the shared knobs,
     // stretched to the session horizon with restart churn mixed in (the
@@ -161,7 +159,6 @@ class MuxEngine {
     }
     slot.sched = scenario::generate(spec.seed, gen);
 
-    slot.host.reset();
     if (opts_.with_sessions) {
       slot.workload = soak::generate_workload(spec.seed, opts_.sopts);
       // Cross-group sessions: fold this group's logical clients onto the
@@ -186,42 +183,46 @@ class MuxEngine {
   }
 
   void do_advance(uint32_t gid) {
-    if (!active_[gid]) return;  // stale entry: group already retired
-    GroupSlot& slot = *slot_of(gid);
-    if (slot.concluded) return;  // dormant until its scheduled retirement
+    GroupSlot* slot = slot_of(gid);
+    if (!slot) return;  // stale entry: the group already concluded
     ++res_.turns;
-    if (slot.run->advance(opts_.slice_events)) {
-      harvest(slot);
+    if (slot->run->advance(opts_.slice_events)) {
+      harvest(*slot);
+      release(gid);
       return;
     }
     // Re-queue at the group's position on the shared timeline: its local
     // clock offset by its creation tick.  The seq tiebreak keeps turn
     // order deterministic even when clocks collide.
-    push(Entry{slot.spec->create_at + slot.cluster.world().now(), seq_++, gid, Phase::kAdvance});
+    push(Entry{slot->spec->create_at + slot->cluster.world().now(), seq_++, gid, Phase::kAdvance});
   }
 
   void do_retire(uint32_t gid) {
-    GroupSlot& slot = *slot_of(gid);
-    if (!slot.concluded) {
+    if (GroupSlot* slot = slot_of(gid)) {
       // Force-finish: one full-budget advance always concludes (quiesce or
       // budget exhaustion — the same terminal states execute() has).
       ++res_.turns;
-      slot.run->advance(slot.exec.max_sim_events);
-      harvest(slot);
+      slot->run->advance(slot->exec.max_sim_events);
+      harvest(*slot);
+      release(gid);
     }
-    slot.run.reset();
-    slot.host.reset();
-    slot.spec = nullptr;
-    const int32_t idx = directory_.get(gid);
-    directory_.at(gid) = 0;
-    active_[gid] = 0;
-    free_slots_.push_back(static_cast<size_t>(idx - 1));
     --resident_;
     ++res_.retired;
   }
 
+  /// Return a concluded group's slot to the pool: nothing reads it again.
+  void release(uint32_t gid) {
+    const int32_t idx = directory_.get(gid);
+    GroupSlot& slot = *slots_[static_cast<size_t>(idx - 1)];
+    slot.run.reset();
+    slot.host.reset();
+    slot.exec.on_pre_start = nullptr;  // the hooks borrow the host
+    slot.exec.on_quiesced = nullptr;
+    directory_.at(gid) = 0;
+    free_slots_.push_back(static_cast<size_t>(idx - 1));
+  }
+
   void harvest(GroupSlot& slot) {
-    slot.concluded = true;
     const GroupSpec& spec = *slot.spec;
     const scenario::ExecResult& r = slot.run->result();
     hashes_[spec.gid] = r.trace_hash;
@@ -285,8 +286,7 @@ class MuxEngine {
   uint64_t seq_ = 0;
   std::vector<std::unique_ptr<GroupSlot>> slots_;
   std::vector<size_t> free_slots_;
-  common::TiledArray<int32_t> directory_;  ///< gid -> slot index + 1 (0 = absent)
-  std::vector<uint8_t> active_;
+  common::TiledArray<int32_t> directory_;  ///< gid -> slot index + 1 (0 = no running slot)
   std::vector<uint64_t> hashes_;
   size_t resident_ = 0;
   size_t peak_resident_ = 0;

@@ -7,18 +7,18 @@
 // packs thousands of them into a single process by treating each group as a
 // cheap cohort over a shared global timeline:
 //
-//   * Slot pool.  Retired deployments return their Cluster to a pool and
-//     the next create reset()s it (the PR 4 capacity-preserving contract),
-//     so steady-state group churn allocates almost nothing.  Peak pool size
-//     equals peak concurrent residency, never the total group count.
+//   * Slot pool.  A deployment returns its Cluster to the pool as soon as
+//     its run concludes and the next create reset()s it (capacity-preserving),
+//     so steady-state churn allocates almost nothing.  Peak pool size is peak
+//     *running* groups: at most peak residency, never the total group count.
 //   * Cohort activation heap.  A binary heap of (global due tick, seq, gid)
 //     turns orders runnable groups by virtual time; each turn advances one
 //     group's StagedRun by a bounded event slice and re-queues it at
 //     create_at + its local clock.  Groups whose run has concluded go
-//     dormant: no heap entries, no event traffic, until their scheduled
-//     retirement frees the slot.  Idle spans *inside* a group are elided by
-//     the PR 5 skip engine, so 10k+ mostly-idle groups cost only their
-//     reconfig bursts.
+//     dormant: no slot, no heap entries, no event traffic, until their
+//     scheduled retirement ends their residency.  Idle spans *inside* a
+//     group are elided by the skip engine, so 10k+ mostly-idle groups cost
+//     only their reconfig bursts.
 //   * Group directory.  gid -> slot through the tiled array layout
 //     (common/tiled.hpp) — the same tiling that replaced the n > 512
 //     per-pair channel hashing — not per-id hashing.
@@ -110,13 +110,13 @@ struct MuxOptions {
   /// default; off leaves pure protocol runs).
   bool with_sessions = true;
   /// Hook invoked once per group at harvest (conclusion) time, in
-  /// deterministic retirement order.
+  /// deterministic conclusion order.
   std::function<void(const GroupOutcome&)> on_group;
 };
 
 struct MuxResult {
   uint64_t groups = 0;          ///< deployments created (== plan size)
-  uint64_t retired = 0;         ///< slots returned to the pool
+  uint64_t retired = 0;         ///< groups whose scheduled lifetime ended
   uint64_t failures = 0;        ///< groups whose verdict was not clean
   uint64_t quiesced = 0;        ///< groups that quiesced within budget
   Tick horizon = 0;             ///< global plan horizon (latest retire)
@@ -127,8 +127,9 @@ struct MuxResult {
   uint64_t skipped_events = 0;  ///< background events elided
   uint64_t aborted_joins = 0;
   uint64_t turns = 0;           ///< cohort-heap scheduling turns taken
-  size_t peak_resident = 0;     ///< max concurrently-resident groups
-  /// Mean fraction of the peak slot pool occupied over the plan horizon
+  size_t peak_resident = 0;     ///< max concurrently-resident groups (create -> retire)
+  size_t peak_slots = 0;        ///< slot-pool high-water mark (max running groups)
+  /// Mean fraction of peak residency occupied over the plan horizon
   /// (deterministic, but reported via --stats alongside the wall-clock
   /// figures because it describes engine load, not run behaviour).
   double occupancy = 0.0;

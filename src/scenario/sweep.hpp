@@ -57,8 +57,10 @@ struct SweepRun {
   uint64_t groups = 0;           ///< deployments the plan created
   uint64_t groups_failed = 0;    ///< groups with a dirty verdict
   size_t peak_resident = 0;      ///< max concurrently-live deployments
-  /// Mean slot-pool occupancy over the plan horizon.  Deterministic, but
-  /// reported through --stats with the wall-clock figures (engine load).
+  size_t peak_slots = 0;         ///< slot-pool high-water mark (running groups)
+  /// Mean residency over the plan horizon, as a fraction of peak_resident.
+  /// Deterministic, but reported through --stats with the wall-clock
+  /// figures (engine load).
   double occupancy = 0.0;
   std::string report;            ///< rendered lines ("" for a quiet pass)
   // Failure artifacts (empty on success):

@@ -3,10 +3,11 @@
 // of (seed, options) — independent of turn slicing and of how slots are
 // recycled — and must preserve every single-group invariant:
 //
-//   * slot lifecycle: a retired slot's Cluster is reset() for the next
-//     group, and the pooled replay is byte-identical to a fresh-cluster
-//     replay of the same schedule (the PR 4 reset contract, extended to
-//     retire-then-create churn);
+//   * slot lifecycle: a group releases its slot as soon as its run
+//     concludes, the slot's Cluster is reset() for the next group, and the
+//     pooled replay is byte-identical to a fresh-cluster replay of the same
+//     schedule (the pooled reset contract, extended to conclude-then-create
+//     churn); the pool is sized by running groups, not resident ones;
 //   * slicing: advancing runs in small interleaved slices changes nothing
 //     (the run loops are resumable — the event sequence never depends on
 //     where the pauses fall);
@@ -91,7 +92,7 @@ TEST(Mux, PooledRetireThenCreateMatchesFreshClusters) {
   // Capture every group's (schedule, verdict) from a pooled mux run whose
   // plan forces slot reuse, then replay each schedule on a *fresh* cluster
   // through the one-shot executor.  Any state leaking across a slot's
-  // retire-then-create boundary shows up as a trace-hash mismatch.
+  // conclude-then-create boundary shows up as a trace-hash mismatch.
   MuxOptions m = churny(false);  // protocol-only: execute() is the referee
   struct Seen {
     scenario::Schedule sched;
@@ -106,7 +107,7 @@ TEST(Mux, PooledRetireThenCreateMatchesFreshClusters) {
   EXPECT_EQ(res.failures, 0u) << res.first_failure;
   EXPECT_EQ(res.retired, m.groups);
   ASSERT_EQ(seen.size(), m.groups);
-  ASSERT_LT(res.peak_resident, m.groups)
+  ASSERT_LT(res.peak_slots, m.groups)
       << "plan did not force slot reuse; widen spawn_span or shrink lifetimes";
 
   scenario::ExecOptions exec;  // defaults match MuxOptions::exec defaults
@@ -115,6 +116,36 @@ TEST(Mux, PooledRetireThenCreateMatchesFreshClusters) {
     EXPECT_EQ(fresh.trace_hash, s.trace_hash) << "gid " << gid;
     EXPECT_EQ(fresh.ok(), s.ok) << "gid " << gid;
   }
+}
+
+TEST(Mux, ConcludedGroupsReleaseTheirSlots) {
+  // Mostly-idle fleet: every group concludes in its first turn, long before
+  // its scheduled retirement.  Concluded groups stay resident (occupancy is
+  // create -> retire) but hold no slot, so the pool stays tiny.
+  MuxOptions m;
+  m.groups = 400;
+  m.sessions = 16;
+  m.spawn_span = 400'000;
+  m.min_lifetime = 120'000;
+  m.max_lifetime = 360'000;
+  m.gen.max_events = 6;
+  m.sopts.horizon = 150'000;
+  m.sopts.ops = 8;
+  const MuxResult res = run_mux(1, m);
+  EXPECT_EQ(res.turns, m.groups) << "plan no longer concludes every group in one turn";
+  EXPECT_EQ(res.retired, m.groups);
+  EXPECT_GE(res.peak_resident, 100u);
+  EXPECT_LT(res.peak_slots, 10u) << "peak_resident=" << res.peak_resident;
+
+  // Fine slices keep many groups running at once; the pool still never
+  // exceeds residency, and the run itself is unchanged.
+  m.slice_events = 64;
+  const MuxResult fine = run_mux(1, m);
+  EXPECT_GT(fine.turns, res.turns);
+  EXPECT_GT(fine.peak_slots, res.peak_slots);
+  EXPECT_LE(fine.peak_slots, fine.peak_resident);
+  EXPECT_EQ(fine.peak_resident, res.peak_resident);
+  EXPECT_EQ(fine.trace_hash, res.trace_hash);
 }
 
 TEST(Mux, OracleAxisStaysSkipFree) {

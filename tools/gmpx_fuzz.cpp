@@ -565,9 +565,9 @@ int main(int argc, char** argv) {
       // Mux occupancy is deterministic, but it describes engine load (like
       // allocs=, it belongs to the telemetry line, not the report).
       if (run.groups) {
-        std::printf(" groups=%lu resident=%zu occ=%.3f",
+        std::printf(" groups=%lu resident=%zu occ=%.3f slots=%zu",
                     static_cast<unsigned long>(run.groups), run.peak_resident,
-                    run.occupancy);
+                    run.occupancy, run.peak_slots);
       }
       std::printf("\n");
     }
@@ -633,7 +633,7 @@ int main(int argc, char** argv) {
           static_cast<double>(bursts) / static_cast<double>(runs));
       if (mux_runs) {
         // Mux throughput: whole pooled deployments concluded per second of
-        // summed run_mux() wall time, plus mean slot-pool occupancy.  Like
+        // summed run_mux() wall time, plus mean residency occupancy.  Like
         // everything on stats lines, groups/s is wall clock (NOT jobs-
         // stable); occupancy is deterministic but lives here because it
         // describes engine load, not run behaviour.
