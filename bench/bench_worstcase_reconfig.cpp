@@ -54,16 +54,17 @@ int main() {
   std::printf("%4s %6s | %10s | %14s | %10s\n", "n", "tau", "measured", "paper 5/2 n^2",
               "ratio msr/n^2");
   std::printf("------------+------------+----------------+-----------\n");
-  double prev_ratio = 0;
-  (void)prev_ratio;
+  bool ok = true;
   for (size_t n : {8u, 16u, 32u}) {
     size_t tau = (n - 1) / 2;  // kill a tolerable minority of initiators
     uint64_t msgs = measure_cascade(n, tau, 1000 + n);
     double bound = 2.5 * n * n;
     std::printf("%4zu %6zu | %10llu | %14.0f | %10.3f\n", n, tau,
                 (unsigned long long)msgs, bound, double(msgs) / double(n * n));
+    ok = ok && double(msgs) <= bound;
   }
   std::printf("\nShape check: measured totals grow ~quadratically in n (constant\n"
-              "msr/n^2 column) and stay below the paper's 5/2 n^2 bound.\n");
-  return 0;
+              "msr/n^2 column) and stay below the paper's 5/2 n^2 bound.  %s\n",
+              ok ? "OK." : "EXCEEDED — investigate.");
+  return ok ? 0 : 1;
 }

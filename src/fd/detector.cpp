@@ -2,8 +2,6 @@
 
 namespace gmpx::fd {
 
-namespace {
-
 /// How `q`'s upkeep keeps refreshing monitor `mid`'s proof of life across
 /// an event-free span, if at all: admitted peers ping the members of
 /// *their* view; unadmitted joiners are audible only as acks to `mid`'s
@@ -13,6 +11,8 @@ namespace {
 /// chain condition.  Both timeout detectors' horizons and fast-forward
 /// refreshes reason from this one rule, computed once per pair per walk.
 enum Refresh : uint8_t { kNoRefresh, kPing, kAck };
+
+namespace {
 
 Refresh refresh_stream(const FailureDetector::Env& env, ProcessId q, ProcessId mid) {
   const sim::SimWorld& w = *env.world;
@@ -33,6 +33,8 @@ Refresh refresh_stream(const FailureDetector::Env& env, ProcessId q, ProcessId m
   if (!mn || !mn->admitted() || !mn->view().contains(q)) return kNoRefresh;
   return !w.channel_blocked(mid, q) && !qn->isolated().count(mid) ? kAck : kNoRefresh;
 }
+
+}  // namespace
 
 /// A refreshable pair is *steady* when neither its current staleness nor
 /// any future scan can cross its silence bound before a guaranteed refresh
@@ -72,7 +74,7 @@ struct SteadyGate {
 /// and script-delimited, so certification resumes the moment one heals),
 /// and reordered frames dodge the FIFO clamp, landing up to the reordering
 /// slack later still.
-SteadyGate heartbeat_gate(const sim::SimWorld& w, const HeartbeatOptions& o, Tick wave0) {
+SteadyGate HeartbeatModel::gate(const sim::SimWorld& w, const Options& o, Tick wave0) {
   const sim::ChannelFaults& f = w.channel_faults();
   const Tick slack = f.reorder_permille > 0 ? f.reorder_slack : 0;
   return SteadyGate(f.loss_permille == 0, w.delays().max_delay + slack, o.interval, wave0);
@@ -82,11 +84,31 @@ SteadyGate heartbeat_gate(const sim::SimWorld& w, const HeartbeatOptions& o, Tic
 /// breaks the refresh guarantee, and duplication / reordering perturb the
 /// inter-arrival samples themselves — the fit's future trajectory (and
 /// with it any silence bound) becomes unprovable.
-SteadyGate phi_gate(const sim::SimWorld& w, const PhiOptions& o, Tick wave0) {
+SteadyGate PhiModel::gate(const sim::SimWorld& w, const Options& o, Tick wave0) {
   return SteadyGate(!w.channel_faults().any(), w.delays().max_delay, o.interval, wave0);
 }
 
-}  // namespace
+Tick PhiModel::pair_bound(ProcessId q, const sim::SimWorld& w) const {
+  // Lower bound on every value suspect_after(q) can take while benign
+  // cadence samples keep arriving.  Future gaps under the current delay
+  // model are at least interval - (max - min channel delay); the mean and
+  // σ-floored fit can therefore never drop the threshold below
+  // min(smallest ring gap, that benign gap) + z·min_stddev.  Monotone
+  // under future samples — the property that keeps a certified span
+  // certified as elided arrivals are replayed into the ring.
+  const sim::DelayModel& d = w.delays();
+  const Tick spread = d.max_delay > d.min_delay ? d.max_delay - d.min_delay : 0;
+  const Tick benign_gap = opts_.interval > spread ? opts_.interval - spread : 1;
+  const Tick mg = min_gap(q);
+  const Tick floor_gap = (mg != 0 && mg < benign_gap) ? mg : benign_gap;
+  Tick b = zmargin_ + floor_gap;
+  if (b > opts_.max_timeout) b = opts_.max_timeout;
+  // Until the fit is trusted the fixed bootstrap threshold governs; the
+  // bound must not promise more than the smaller regime (mid-span samples
+  // can flip a bootstrap pair to the adaptive threshold).
+  if (samples(q) < opts_.min_samples && opts_.bootstrap_timeout < b) b = opts_.bootstrap_timeout;
+  return b;
+}
 
 const char* to_string(DetectorKind k) {
   switch (k) {
@@ -106,7 +128,6 @@ bool parse_detector(const std::string& name, DetectorKind& out) {
 }
 
 void OracleFd::on_crash(ProcessId p, Tick t) {
-  if (!opts_.enabled) return;
   // F1: every surviving process detects the crash within a bounded delay.
   // RNG draws happen in deterministic id order, so a seed names the run.
   sim::SimWorld& world = *env_.world;
@@ -121,7 +142,8 @@ void OracleFd::on_crash(ProcessId p, Tick t) {
   }
 }
 
-void HeartbeatDetector::bind(Env env) {
+template <typename Model>
+void TimeoutDetector<Model>::bind(Env env) {
   FailureDetector::bind(std::move(env));
   // Route fast-path ping/ack frames straight to the destination's monitor.
   env_.world->set_background_sink(
@@ -136,14 +158,16 @@ void HeartbeatDetector::bind(Env env) {
   env_.world->set_environment_timer(opts_.interval, [this] { wave(); });
 }
 
-void HeartbeatDetector::reset() {
+template <typename Model>
+void TimeoutDetector<Model>::reset() {
   for (auto& m : monitors_) monitor_pool_.push_back(std::move(m));
   monitors_.clear();
   monitor_by_id_.clear();
   next_wave_ = kNeverTick;  // bind() re-establishes the cadence
 }
 
-void HeartbeatDetector::wave() {
+template <typename Model>
+void TimeoutDetector<Model>::wave() {
   sim::SimWorld& world = *env_.world;
   bool any_alive = false;
   // Registration order (= deterministic cluster id order).  Each monitor's
@@ -168,53 +192,60 @@ void HeartbeatDetector::wave() {
   }
 }
 
-Tick HeartbeatDetector::next_possible_detection(Tick now) const {
+template <typename Model>
+Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
   if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
   // Per-pair reasoning, valid under any delay model: a pair whose refresh
-  // chain provably outpaces the timeout (steady) is exempt; every other
-  // pair pins the horizon — a structurally-severed one at the first scan
-  // that could see its silence past the timeout, a merely-unprovable one
-  // (storm-hot chain, residual staleness, live fault axes) at the very
-  // next wave, whose pings decide its fate and so must execute for real.
-  // A delay span is never collapsed to "unknown" wholesale: while every
-  // watched pair still has a provable refresh in flight the span keeps
-  // skipping.  (Elided waves do skip their delay draws, so the RNG stream
-  // — and with it post-skip interleavings — shifts against a skip-free
-  // execution: traces diverge in timing while staying per-seed
-  // deterministic, the heartbeat axis's documented wave-elision
-  // divergence.)
+  // chain provably outpaces its silence bound (steady) is exempt; every
+  // other pair pins the horizon — a structurally-severed one at the first
+  // scan that could see its silence past the current threshold, a
+  // merely-unprovable one (storm-hot chain, residual staleness, live fault
+  // axes) at the very next wave, whose pings decide its fate and so must
+  // execute for real.  A delay span is never collapsed to "unknown"
+  // wholesale: while every watched pair still has a provable refresh in
+  // flight the span keeps skipping.  (Elided waves do skip their delay
+  // draws, so the RNG stream — and with it post-skip interleavings —
+  // shifts against a skip-free execution: traces diverge in timing while
+  // staying per-seed deterministic, the timeout axes' documented
+  // wave-elision divergence.)
+  const sim::SimWorld& w = *env_.world;
   const Tick wave0 = next_wave_ > now ? next_wave_ : now;
-  const SteadyGate gate = heartbeat_gate(*env_.world, opts_, wave0);
+  const SteadyGate gate = Model::gate(w, opts_, wave0);
   Tick best = kNoDetection;
   for (const auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
+    const Model& model = m->model();
     const ProcessId mid = node.id();
-    if (env_.world->crashed(mid) || node.has_quit() || !node.admitted()) continue;
+    if (w.crashed(mid) || node.has_quit() || !node.admitted()) continue;
     for (ProcessId q : node.view().members()) {
       if (q == mid || node.isolated().count(q)) continue;  // scan never suspects these
-      Tick seen = m->last_heard(q);
+      Tick seen = model.last(q);
       if (seen == 0) seen = wave0;  // first sighting: grace starts at the next scan
       const Refresh r = refresh_stream(env_, q, mid);
-      // A pair whose upkeep keeps flowing cannot cross the timeout — but
-      // only once it is *steady*: its refresh chain outpaces the timeout
-      // and no scan before the next guaranteed arrival may find the
-      // current staleness past it.  A pair left residually stale by a
-      // just-ended storm fails this and stays a candidate, so the wave
-      // that would suspect it in a skip-free run really executes (an
-      // elided in-flight arrival replay can still clear it first).
-      if (gate.steady(r, seen, opts_.timeout)) continue;
-      // The scan suspects at the first wave tick W with W - seen > timeout.
+      // A pair whose upkeep keeps flowing cannot cross its threshold — but
+      // only once it is *steady*: its refresh chain outpaces the bound and
+      // no scan before the next guaranteed arrival may find the current
+      // staleness past it.  A pair left residually stale by a just-ended
+      // storm fails this and stays a candidate, so the wave that would
+      // suspect it in a skip-free run really executes (an elided in-flight
+      // arrival replay can still clear it first).
+      if (gate.steady(r, seen, model.pair_bound(q, w))) continue;
+      // The scan suspects at the first wave tick W with W - seen > threshold.
+      // A severed pair may use the *current* (possibly fitted) threshold: no
+      // future arrival can refresh it, and replayed in-flight samples can
+      // only delay the post-skip scan that judges it.
+      const Tick threshold = model.suspect_after(q);
       Tick fire = wave0;
-      if (fire <= seen + opts_.timeout) {
+      if (fire <= seen + threshold) {
         if (r != kNoRefresh) {
           // Not provably steady, but still fed by upkeep: whether the next
           // wave's in-flight pings refresh it before its silence crosses
-          // the timeout is a question of random frame timing the horizon
+          // the threshold is a question of random frame timing the horizon
           // must not second-guess.  Never skip past that wave.
           if (wave0 < best) best = wave0;
           continue;
         }
-        const Tick k = (seen + opts_.timeout - fire) / opts_.interval + 1;
+        const Tick k = (seen + threshold - fire) / opts_.interval + 1;
         fire += k * opts_.interval;
       }
       if (fire < best) best = fire;
@@ -223,7 +254,8 @@ Tick HeartbeatDetector::next_possible_detection(Tick now) const {
   return best;
 }
 
-void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
+template <typename Model>
+void TimeoutDetector<Model>::on_fast_forward(Tick from, Tick to) {
   (void)from;
   sim::SimWorld& w = *env_.world;
   // Re-establish the wave cadence if the pending wave event was elided,
@@ -242,7 +274,7 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
   // would have kept exchanging upkeep; everything else pinned the skip at
   // or before the wave that judges it):
   //   * a never-seen pair's grace period starts at the first elided scan
-  //     (the real scan calls note_alive on first sighting) — without this
+  //     (the real scan marks it heard on first sighting) — without this
   //     the horizon for a silent never-seen peer recedes forever and the
   //     run can never converge on its detection;
   //   * a refreshable pair is heard as of the skip target.
@@ -251,21 +283,25 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
   // refreshed.  A residually-stale pair was a horizon candidate, so the
   // skip stopped at or before its possible suspicion — its staleness must
   // survive the skip for that wave to judge it exactly as a skip-free run
-  // would.  Nothing is marked when no wave was elided: in-flight arrivals
-  // were already replayed at their true ticks and there was no other
-  // traffic to model.
+  // would.  The marks record no inter-arrival sample: elided upkeep must
+  // not fabricate distribution data, and pair_bound() already guarantees
+  // an unfed fit stays above every silence the certified span could show.
+  // Nothing is marked when no wave was elided: in-flight arrivals were
+  // already replayed at their true ticks and there was no other traffic to
+  // model.
   if (!wave_elided) return;
-  const SteadyGate gate = heartbeat_gate(w, opts_, w0);
+  const SteadyGate gate = Model::gate(w, opts_, w0);
   for (auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
+    Model& model = m->model();
     const ProcessId mid = node.id();
     if (w.crashed(mid) || node.has_quit()) continue;
     if (node.admitted()) {
       for (ProcessId q : node.view().members()) {
         if (q == mid || node.isolated().count(q)) continue;
-        if (m->last_heard(q) == 0) m->mark_heard(q, w0);
-        if (gate.steady(refresh_stream(env_, q, mid), m->last_heard(q), opts_.timeout))
-          m->mark_heard(q, to);
+        if (model.last(q) == 0) model.mark_heard(q, w0);
+        if (gate.steady(refresh_stream(env_, q, mid), model.last(q), model.pair_bound(q, w)))
+          model.mark_heard(q, to);
       }
     } else {
       // A committed-but-unbootstrapped joiner has no view to walk, but
@@ -276,259 +312,75 @@ void HeartbeatDetector::on_fast_forward(Tick from, Tick to) {
       // skip-free run never fires.
       for (ProcessId q : *env_.ids) {
         if (q == mid || node.isolated().count(q)) continue;
-        const Tick seen = m->last_heard(q) == 0 ? w0 : m->last_heard(q);
-        if (gate.steady(refresh_stream(env_, q, mid), seen, opts_.timeout)) m->mark_heard(q, to);
+        const Tick seen = model.last(q) == 0 ? w0 : model.last(q);
+        if (gate.steady(refresh_stream(env_, q, mid), seen, model.pair_bound(q, w)))
+          model.mark_heard(q, to);
       }
     }
   }
 }
 
-void HeartbeatDetector::on_elided_background(ProcessId from, ProcessId to, uint32_t kind,
-                                             Tick when) {
+template <typename Model>
+void TimeoutDetector<Model>::on_elided_background(ProcessId from, ProcessId to, uint32_t kind,
+                                                  Tick when) {
   // Mirror on_background_packet's acceptance rules (dead/quit receivers
-  // hear nothing, S1 drops isolated senders) but only record the proof of
-  // life — nothing is sent during a skip.  Arrivals replay in (tick, seq)
-  // order, so the freshest lands last; the guard keeps the table monotone.
-  HeartbeatFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
+  // hear nothing, S1 drops isolated senders) but only record the arrival —
+  // nothing is sent during a skip.  A replayed real arrival goes through
+  // the model's on_arrival (φ feeds its ring: the frame landed at exactly
+  // `when` in a skip-free run too).  Arrivals replay in (tick, seq) order,
+  // so two elided arrivals of one pair land earliest first, exactly as in
+  // a skip-free run.
+  Monitor* m = monitor(to);
   if (!m) return;
   if (env_.world->crashed(to)) return;
   const gmp::GmpNode& node = m->node();
   if (node.has_quit() || node.isolated().count(from)) return;
-  if (when > m->last_heard(from)) m->mark_heard(from, when);
+  m->model().on_arrival(from, when);
   // The ack a live unadmitted receiver sends back (its only way to be
   // audible) must be modeled too, or eliding a ping to a joiner silently
   // deafens the *sender's* monitor — a residually-stale pair could then be
   // suspected at the frontier wave where a skip-free run is cleared by the
   // in-flight ack first.  The ack's own delay draw never happens, so the
-  // sender is credited at the ping's arrival tick: at most one ack flight
-  // early, within the documented timing quantization.
+  // sender is credited at the ping's arrival tick — at most one ack flight
+  // early, within the documented timing quantization — and, being
+  // synthetic timing, without an inter-arrival sample.
   if (kind != gmp::kind::kHeartbeat || node.admitted()) return;
   if (env_.world->channel_blocked(to, from)) return;  // the ack would be held
-  HeartbeatFd* back = from < monitor_by_id_.size() ? monitor_by_id_[from] : nullptr;
+  Monitor* back = monitor(from);
   if (!back) return;
   if (env_.world->crashed(from)) return;
   const gmp::GmpNode& sender = back->node();
   if (sender.has_quit() || sender.isolated().count(to)) return;
-  if (when > back->last_heard(to)) back->mark_heard(to, when);
+  back->model().mark_heard_fresh(to, when);
 }
 
-void HeartbeatDetector::on_background_packet(ProcessId from, ProcessId to, uint32_t kind) {
-  HeartbeatFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
+template <typename Model>
+void TimeoutDetector<Model>::on_background_packet(ProcessId from, ProcessId to, uint32_t kind) {
+  Monitor* m = monitor(to);
   if (!m) return;
   if (Context* ctx = env_.world->context_of(to)) m->on_background(*ctx, from, kind);
 }
 
-Actor* HeartbeatDetector::wrap(gmp::GmpNode& inner) {
-  std::unique_ptr<HeartbeatFd> m;
+template <typename Model>
+Actor* TimeoutDetector<Model>::wrap(gmp::GmpNode& inner) {
+  std::unique_ptr<Monitor> m;
   if (!monitor_pool_.empty()) {
     m = std::move(monitor_pool_.back());
     monitor_pool_.pop_back();
     m->reset(&inner, opts_, /*self_arm=*/false);
   } else {
-    m = std::make_unique<HeartbeatFd>(&inner, opts_, /*self_arm=*/false);
+    m = std::make_unique<Monitor>(&inner, opts_, /*self_arm=*/false);
   }
   monitors_.push_back(std::move(m));
-  HeartbeatFd* raw = monitors_.back().get();
+  Monitor* raw = monitors_.back().get();
   const ProcessId id = inner.id();
   if (id >= monitor_by_id_.size()) monitor_by_id_.resize(id + 1, nullptr);
   monitor_by_id_[id] = raw;
   return raw;
 }
 
-PhiAccrualDetector::PhiAccrualDetector(PhiOptions opts) : opts_(opts) {
-  // Fixed at construction: the smallest margin the adaptive threshold can
-  // ever put above a pair's mean gap (σ is floored at min_stddev).
-  zmargin_ = static_cast<Tick>(
-      std::ceil(phi_threshold_z(opts_.threshold) * static_cast<double>(opts_.min_stddev)));
-}
-
-void PhiAccrualDetector::bind(Env env) {
-  FailureDetector::bind(std::move(env));
-  env_.world->set_background_sink(
-      [this](ProcessId from, ProcessId to, uint32_t kind) {
-        on_background_packet(from, to, kind);
-      });
-  next_wave_ = env_.world->now() + opts_.interval;
-  env_.world->set_environment_timer(opts_.interval, [this] { wave(); });
-}
-
-void PhiAccrualDetector::reset() {
-  for (auto& m : monitors_) monitor_pool_.push_back(std::move(m));
-  monitors_.clear();
-  monitor_by_id_.clear();
-  next_wave_ = kNeverTick;  // bind() re-establishes the cadence
-}
-
-void PhiAccrualDetector::wave() {
-  sim::SimWorld& world = *env_.world;
-  bool any_alive = false;
-  for (auto& m : monitors_) {
-    const ProcessId id = m->node().id();
-    if (Context* ctx = world.context_of(id)) {
-      targets_.clear();
-      m->tick_collect(*ctx, targets_);
-      if (!targets_.empty()) world.send_background_wave(id, targets_, gmp::kind::kHeartbeat);
-    }
-    if (!world.crashed(id)) any_alive = true;
-  }
-  if (any_alive) {
-    next_wave_ = world.now() + opts_.interval;
-    env_.world->set_environment_timer(opts_.interval, [this] { wave(); });
-  } else {
-    next_wave_ = kNeverTick;
-  }
-}
-
-Tick PhiAccrualDetector::pair_bound(const PhiFd& m, ProcessId q) const {
-  // Lower bound on every value suspect_after(q) can take while benign
-  // cadence samples keep arriving.  Future gaps under the current delay
-  // model are at least interval - (max - min channel delay); the mean and
-  // σ-floored fit can therefore never drop the threshold below
-  // min(smallest ring gap, that benign gap) + z·min_stddev.  Monotone
-  // under future samples — the property that keeps a certified span
-  // certified as elided arrivals are replayed into the ring.
-  const sim::DelayModel& d = env_.world->delays();
-  const Tick spread = d.max_delay > d.min_delay ? d.max_delay - d.min_delay : 0;
-  const Tick benign_gap = opts_.interval > spread ? opts_.interval - spread : 1;
-  const Tick mg = m.min_gap(q);
-  const Tick floor_gap = (mg != 0 && mg < benign_gap) ? mg : benign_gap;
-  Tick b = zmargin_ + floor_gap;
-  if (b > opts_.max_timeout) b = opts_.max_timeout;
-  // Until the fit is trusted the fixed bootstrap threshold governs; the
-  // bound must not promise more than the smaller regime (mid-span samples
-  // can flip a bootstrap pair to the adaptive threshold).
-  if (m.samples(q) < opts_.min_samples && opts_.bootstrap_timeout < b)
-    b = opts_.bootstrap_timeout;
-  return b;
-}
-
-Tick PhiAccrualDetector::next_possible_detection(Tick now) const {
-  if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
-  // Mirrors HeartbeatDetector::next_possible_detection with two twists:
-  // steadiness is certified against pair_bound() (a threshold that moves
-  // with the fit needs a monotone lower bound), while a structurally
-  // severed pair's fire tick may use the *current* fitted threshold — no
-  // future arrival can refresh it, and replayed in-flight samples can only
-  // delay the post-skip scan that judges it, never conjure a suspicion a
-  // skip-free run could not produce.
-  const Tick wave0 = next_wave_ > now ? next_wave_ : now;
-  const SteadyGate gate = phi_gate(*env_.world, opts_, wave0);
-  Tick best = kNoDetection;
-  for (const auto& m : monitors_) {
-    const gmp::GmpNode& node = m->node();
-    const ProcessId mid = node.id();
-    if (env_.world->crashed(mid) || node.has_quit() || !node.admitted()) continue;
-    for (ProcessId q : node.view().members()) {
-      if (q == mid || node.isolated().count(q)) continue;
-      Tick seen = m->last_heard(q);
-      if (seen == 0) seen = wave0;
-      const Refresh r = refresh_stream(env_, q, mid);
-      if (gate.steady(r, seen, pair_bound(*m, q))) continue;
-      const Tick threshold = m->suspect_after(q);
-      Tick fire = wave0;
-      if (fire <= seen + threshold) {
-        if (r != kNoRefresh) {
-          // Fed by upkeep but not provably steady: the next wave's frames
-          // decide — never skip past them.
-          if (wave0 < best) best = wave0;
-          continue;
-        }
-        const Tick k = (seen + threshold - fire) / opts_.interval + 1;
-        fire += k * opts_.interval;
-      }
-      if (fire < best) best = fire;
-    }
-  }
-  return best;
-}
-
-void PhiAccrualDetector::on_fast_forward(Tick from, Tick to) {
-  (void)from;
-  sim::SimWorld& w = *env_.world;
-  // Same reconciliation as HeartbeatDetector::on_fast_forward: re-arm the
-  // cadence phase-preserved and mark steady pairs heard at the skip
-  // target.  mark_heard() records no inter-arrival sample — elided upkeep
-  // must not fabricate distribution data, and pair_bound() already
-  // guarantees the unfed fit stays above every silence the certified span
-  // could show.
-  const Tick w0 = next_wave_;
-  const bool wave_elided = next_wave_ != kNeverTick && next_wave_ < to;
-  if (wave_elided) {
-    const Tick missed = (to - next_wave_ + opts_.interval - 1) / opts_.interval;
-    next_wave_ += missed * opts_.interval;
-    w.set_environment_timer(next_wave_ - to, [this] { wave(); });
-  }
-  if (!wave_elided) return;
-  const SteadyGate gate = phi_gate(w, opts_, w0);
-  for (auto& m : monitors_) {
-    const gmp::GmpNode& node = m->node();
-    const ProcessId mid = node.id();
-    if (w.crashed(mid) || node.has_quit()) continue;
-    if (node.admitted()) {
-      for (ProcessId q : node.view().members()) {
-        if (q == mid || node.isolated().count(q)) continue;
-        if (m->last_heard(q) == 0) m->mark_heard(q, w0);
-        if (gate.steady(refresh_stream(env_, q, mid), m->last_heard(q), pair_bound(*m, q)))
-          m->mark_heard(q, to);
-      }
-    } else {
-      for (ProcessId q : *env_.ids) {
-        if (q == mid || node.isolated().count(q)) continue;
-        const Tick seen = m->last_heard(q) == 0 ? w0 : m->last_heard(q);
-        if (gate.steady(refresh_stream(env_, q, mid), seen, pair_bound(*m, q)))
-          m->mark_heard(q, to);
-      }
-    }
-  }
-}
-
-void PhiAccrualDetector::on_elided_background(ProcessId from, ProcessId to, uint32_t kind,
-                                              Tick when) {
-  // As in HeartbeatDetector::on_elided_background, but a replayed real
-  // arrival feeds the inter-arrival ring (record_arrival) — it happened at
-  // exactly `when` in a skip-free run too.  The modeled ack of a live
-  // unadmitted receiver is synthetic timing (its own delay draw never
-  // happened), so it refreshes proof of life without sampling.  Arrivals
-  // replay in (tick, seq) order, so two elided arrivals of one pair both
-  // land in the ring, earliest first, exactly as in a skip-free run.
-  PhiFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
-  if (!m) return;
-  if (env_.world->crashed(to)) return;
-  const gmp::GmpNode& node = m->node();
-  if (node.has_quit() || node.isolated().count(from)) return;
-  m->record_arrival(from, when);
-  if (kind != gmp::kind::kHeartbeat || node.admitted()) return;
-  if (env_.world->channel_blocked(to, from)) return;  // the ack would be held
-  PhiFd* back = from < monitor_by_id_.size() ? monitor_by_id_[from] : nullptr;
-  if (!back) return;
-  if (env_.world->crashed(from)) return;
-  const gmp::GmpNode& sender = back->node();
-  if (sender.has_quit() || sender.isolated().count(to)) return;
-  if (when > back->last_heard(to)) back->mark_heard(to, when);
-}
-
-void PhiAccrualDetector::on_background_packet(ProcessId from, ProcessId to, uint32_t kind) {
-  PhiFd* m = to < monitor_by_id_.size() ? monitor_by_id_[to] : nullptr;
-  if (!m) return;
-  if (Context* ctx = env_.world->context_of(to)) m->on_background(*ctx, from, kind);
-}
-
-Actor* PhiAccrualDetector::wrap(gmp::GmpNode& inner) {
-  std::unique_ptr<PhiFd> m;
-  if (!monitor_pool_.empty()) {
-    m = std::move(monitor_pool_.back());
-    monitor_pool_.pop_back();
-    m->reset(&inner, opts_, /*self_arm=*/false);
-  } else {
-    m = std::make_unique<PhiFd>(&inner, opts_, /*self_arm=*/false);
-  }
-  monitors_.push_back(std::move(m));
-  PhiFd* raw = monitors_.back().get();
-  const ProcessId id = inner.id();
-  if (id >= monitor_by_id_.size()) monitor_by_id_.resize(id + 1, nullptr);
-  monitor_by_id_[id] = raw;
-  return raw;
-}
+template class TimeoutDetector<HeartbeatModel>;
+template class TimeoutDetector<PhiModel>;
 
 std::unique_ptr<FailureDetector> make_detector(DetectorKind kind, const OracleOptions& oracle,
                                                const HeartbeatOptions& heartbeat,

@@ -10,10 +10,20 @@
 //     injects faulty_p(q) a bounded random delay after q really crashes.
 //     Deterministic, never false, and free of detector message traffic, so
 //     protocol complexity counts stay clean.
-//   * HeartbeatDetector — wraps every node in a fd::HeartbeatFd ping/timeout
-//     monitor (fd/heartbeat.hpp).  Detection is driven by real silence, so
-//     it may produce *false* suspicions under delay storms and partitions —
-//     exactly the phenomenon the protocol must (and does) tolerate.
+//   * TimeoutDetector<Model> — the realistic simulator driver: wraps every
+//     node in a fd::TimeoutMonitor ping/timeout monitor (fd/monitor.hpp),
+//     paces all of them with one batched wave, and owns the skip-horizon
+//     contract below.  Detection is driven by real silence, so it may
+//     produce *false* suspicions under delay storms and partitions —
+//     exactly the phenomenon the protocol must (and does) tolerate.  It
+//     comes in two models, which differ only in their per-pair silence
+//     threshold, how an arrival is ingested, the silence bound and
+//     steadiness gate the skip horizon certifies against, and the settle
+//     window:
+//       - HeartbeatDetector (fd::HeartbeatModel, fd/heartbeat.hpp): one
+//         fixed timeout;
+//       - PhiAccrualDetector (fd::PhiModel, fd/phi.hpp): a per-pair
+//         threshold fitted to the observed inter-arrival gaps.
 //
 // harness::Cluster owns one detector per deployment and gives it two
 // integration points: `wrap()` may decorate each node's Actor before it is
@@ -24,7 +34,6 @@
 // protocol quiescence (sim::SimWorld::run_until_protocol_idle).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,10 +61,8 @@ const char* to_string(DetectorKind k);
 bool parse_detector(const std::string& name, DetectorKind& out);
 
 /// Oracle tuning: F1's "detection occurs in finite time" with an explicit
-/// bound.  `enabled = false` turns automatic injection off entirely, for
-/// experiments that script every suspicion by hand.
+/// bound.
 struct OracleOptions {
-  bool enabled = true;  ///< inject suspicions after real crashes
   Tick min_delay = 40;  ///< detection latency bounds
   Tick max_delay = 160;
   friend bool operator==(const OracleOptions&, const OracleOptions&) = default;
@@ -159,10 +166,6 @@ class FailureDetector {
   Env env_;
 };
 
-/// Factory hook: ClusterOptions carries one of these so experiments can
-/// plug in custom detector implementations without touching the harness.
-using DetectorFactory = std::function<std::unique_ptr<FailureDetector>()>;
-
 /// The scripted oracle (formerly hard-wired into harness::Cluster): every
 /// survivor learns of a real crash within [min_delay, max_delay] ticks.
 class OracleFd final : public FailureDetector {
@@ -183,9 +186,8 @@ class OracleFd final : public FailureDetector {
   OracleOptions opts_;
 };
 
-/// The realistic detector: one fd::HeartbeatFd monitor per node.  See
-/// fd/heartbeat.hpp for tuning guidance (interval/timeout vs storm
-/// intensity).
+/// The realistic detector: one fd::TimeoutMonitor<Model> per node.  See
+/// fd/heartbeat.hpp and fd/phi.hpp for tuning guidance.
 ///
 /// Under the simulator the detector batches and short-circuits its own
 /// upkeep (the heartbeat fast path):
@@ -199,8 +201,8 @@ class OracleFd final : public FailureDetector {
 ///   * whole ping/settle spans collapse under the virtual-time
 ///     fast-forward: next_possible_detection() walks every (monitor, peer)
 ///     pair and reports the first wave tick at which a silence could cross
-///     the timeout, so the runtime can certify "no detection can fire
-///     before tick T" and elide every wave in between (on_fast_forward
+///     the pair's threshold, so the runtime can certify "no detection can
+///     fire before tick T" and elide every wave in between (on_fast_forward
 ///     then re-arms the cadence and refreshes the pairs the elided pings
 ///     would have refreshed).  The reasoning is per pair: a delay span
 ///     whose every watched pair still has a provable refresh in flight
@@ -209,9 +211,21 @@ class OracleFd final : public FailureDetector {
 ///     next wave (whose pings decide their fate).  See tests/README.md
 ///     "virtual time & skip horizons" for the exact divergence this is
 ///     allowed to introduce.
-class HeartbeatDetector final : public FailureDetector {
+///
+/// The model supplies the per-pair arithmetic: steadiness is certified
+/// against `pair_bound` (φ's threshold moves with the fit, so its bound is
+/// a monotone lower bound on every value the fit can take — z·min_stddev
+/// above the smallest gap it could converge to) under the model's `gate`
+/// (heartbeat keeps certifying under duplication and reordering; φ
+/// suspends certification while any fault axis is live, since perturbed
+/// samples make the fit's future trajectory unprovable).
+template <typename Model>
+class TimeoutDetector final : public FailureDetector {
  public:
-  explicit HeartbeatDetector(HeartbeatOptions opts) : opts_(opts) {}
+  using Options = typename Model::Options;
+  using Monitor = TimeoutMonitor<Model>;
+
+  explicit TimeoutDetector(Options opts) : opts_(opts) {}
 
   void bind(Env env) override;
   void reset() override;
@@ -227,13 +241,11 @@ class HeartbeatDetector final : public FailureDetector {
 
   /// A silence that began just before the window opened — possibly
   /// refreshed by a packet delayed by `worst_delay` — must still cross the
-  /// timeout inside it, plus two ping periods and slack for the suspicion
-  /// traffic itself.
+  /// largest threshold the model can hold inside it, plus two ping periods
+  /// and slack for the suspicion traffic itself.
   Tick settle_window(Tick worst_delay) const override {
-    return opts_.timeout + 2 * opts_.interval + worst_delay + 400;
+    return Model::settle_base(opts_) + 2 * opts_.interval + worst_delay + 400;
   }
-
-  const HeartbeatOptions& options() const { return opts_; }
 
  private:
   /// One batched monitor period: tick every live monitor, then re-arm while
@@ -241,12 +253,15 @@ class HeartbeatDetector final : public FailureDetector {
   void wave();
   /// Fast-path delivery of a ping/ack to the destination's monitor.
   void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
+  Monitor* monitor(ProcessId id) const {
+    return id < monitor_by_id_.size() ? monitor_by_id_[id] : nullptr;
+  }
 
-  HeartbeatOptions opts_;
-  std::vector<std::unique_ptr<HeartbeatFd>> monitors_;
-  std::vector<std::unique_ptr<HeartbeatFd>> monitor_pool_;  ///< recycled across runs
-  std::vector<HeartbeatFd*> monitor_by_id_;  ///< dense id -> monitor (borrowed)
-  std::vector<ProcessId> targets_;           ///< wave scratch: one sender's ping fan
+  Options opts_;
+  std::vector<std::unique_ptr<Monitor>> monitors_;
+  std::vector<std::unique_ptr<Monitor>> monitor_pool_;  ///< recycled across runs
+  std::vector<Monitor*> monitor_by_id_;  ///< dense id -> monitor (borrowed)
+  std::vector<ProcessId> targets_;       ///< wave scratch: one sender's ping fan
   /// Tick of the next pending wave (kNeverTick once the deployment died
   /// and the cadence self-cancelled).  Horizon arithmetic aligns candidate
   /// detections to this cadence; on_fast_forward re-arms it phase-preserved
@@ -254,59 +269,12 @@ class HeartbeatDetector final : public FailureDetector {
   Tick next_wave_ = kNeverTick;
 };
 
-/// The adaptive detector: one fd::PhiFd monitor per node (see fd/phi.hpp
-/// for the φ model and tuning guidance).  Same simulator integration as
-/// HeartbeatDetector — batched wave, background fast path, pooled monitors
-/// — but the skip-horizon arithmetic must respect a per-pair *moving*
-/// threshold: new samples can shrink a pair's fitted silence threshold
-/// mid-span, so steadiness is certified against a conservative lower bound
-/// (z·min_stddev above the smallest gap the fit could converge to) rather
-/// than the current threshold, and any live loss/dup/reorder fault axis
-/// suspends certification outright (perturbed inter-arrival samples make
-/// the fit's future trajectory unprovable).
-class PhiAccrualDetector final : public FailureDetector {
- public:
-  explicit PhiAccrualDetector(PhiOptions opts);
+// Both instantiations live in fd/detector.cpp.
+extern template class TimeoutDetector<HeartbeatModel>;
+extern template class TimeoutDetector<PhiModel>;
 
-  void bind(Env env) override;
-  void reset() override;
-  Actor* wrap(gmp::GmpNode& inner) override;
-
-  std::pair<uint32_t, uint32_t> background_kinds() const override {
-    return {gmp::kind::kHeartbeat, gmp::kind::kHeartbeatAck};
-  }
-
-  Tick next_possible_detection(Tick now) const override;
-  void on_fast_forward(Tick from, Tick to) override;
-  void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) override;
-
-  /// Like HeartbeatDetector's window but sized by the adaptive cap: a
-  /// pending suspicion can hide behind a threshold as large as max_timeout.
-  Tick settle_window(Tick worst_delay) const override {
-    return opts_.max_timeout + 2 * opts_.interval + worst_delay + 400;
-  }
-
-  const PhiOptions& options() const { return opts_; }
-
- private:
-  void wave();
-  void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
-  /// Conservative per-pair silence bound for horizon/steadiness reasoning:
-  /// a lower bound on every value the pair's fitted threshold can take
-  /// while benign cadence samples keep arriving.  min(current fit floor,
-  /// next benign gap) + z·min_stddev — monotone under future samples, so a
-  /// span certified against it stays certified as elided arrivals are
-  /// replayed into the ring.
-  Tick pair_bound(const PhiFd& m, ProcessId q) const;
-
-  PhiOptions opts_;
-  Tick zmargin_ = 0;  ///< ceil(z(threshold) · min_stddev), fixed at construction
-  std::vector<std::unique_ptr<PhiFd>> monitors_;
-  std::vector<std::unique_ptr<PhiFd>> monitor_pool_;  ///< recycled across runs
-  std::vector<PhiFd*> monitor_by_id_;                 ///< dense id -> monitor (borrowed)
-  std::vector<ProcessId> targets_;                    ///< wave scratch
-  Tick next_wave_ = kNeverTick;                       ///< as in HeartbeatDetector
-};
+using HeartbeatDetector = TimeoutDetector<HeartbeatModel>;
+using PhiAccrualDetector = TimeoutDetector<PhiModel>;
 
 /// Build the standard detector for `kind` from the matching options.
 std::unique_ptr<FailureDetector> make_detector(DetectorKind kind, const OracleOptions& oracle,

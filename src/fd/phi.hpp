@@ -63,19 +63,17 @@
 // `max_timeout` caps the adaptive threshold so a pathological sample set
 // can never postpone real-crash detection unboundedly.
 //
-// Runtime-neutral like HeartbeatFd: stand-alone it arms its own per-node
-// ping timer; under fd::PhiAccrualDetector the pacing is the batched
-// environment wave and ping/ack frames ride the simulator's background
-// fast path.  Unadmitted joiners ack pings to stay audible, exactly as in
-// fd/heartbeat.hpp.
+// PhiFd is the fd::TimeoutMonitor (fd/monitor.hpp) over this model, so it
+// is runtime-neutral like HeartbeatFd: stand-alone it arms its own
+// per-node ping timer; under fd::PhiAccrualDetector the pacing is the
+// batched environment wave and ping/ack frames ride the simulator's
+// background fast path.
 #pragma once
 
 #include <cmath>
 #include <vector>
 
-#include "common/runtime.hpp"
-#include "gmp/messages.hpp"
-#include "gmp/node.hpp"
+#include "fd/monitor.hpp"
 
 namespace gmpx::fd {
 
@@ -114,60 +112,37 @@ inline double phi_value(double elapsed, double mean, double stddev) {
   return -std::log10(q);
 }
 
-/// Decorating actor: one adaptive monitor per process.
-class PhiFd final : public Actor {
+/// The adaptive model: per-pair proof of life plus an inter-arrival ring
+/// summarized by running sum / sum-of-squares (O(1) refit per sample).
+class PhiModel {
  public:
-  /// `self_arm` as in HeartbeatFd: true arms a per-node ping timer, false
-  /// leaves pacing to an external driver (fd::PhiAccrualDetector's wave).
-  PhiFd(gmp::GmpNode* inner, PhiOptions opts, bool self_arm = true)
-      : inner_(inner), opts_(opts), self_arm_(self_arm) {
-    z_ = phi_threshold_z(opts_.threshold);
-  }
+  using Options = PhiOptions;
 
-  void on_start(Context& ctx) override {
-    inner_->on_start(ctx);
-    if (self_arm_ && !inner_->has_quit()) arm(ctx);
-  }
+  explicit PhiModel(const Options& opts) : opts_(opts) { set_z(); }
 
-  void on_packet(Context& ctx, const Packet& p) override {
-    if (p.kind == gmp::kind::kHeartbeat || p.kind == gmp::kind::kHeartbeatAck) {
-      on_background(ctx, p.from, p.kind);
-      return;
-    }
-    // Any protocol message is proof of life too — but NOT a distribution
-    // sample: the fit models the detector's own cadence, and a view-change
-    // burst of near-simultaneous protocol messages would flood the ring
-    // with tiny gaps, collapse the fitted threshold toward z·min_stddev,
-    // and fire a false suspicion at the first quiet scan afterwards.
-    mark_heard_fresh(p.from, ctx.now());
-    inner_->on_packet(ctx, p);
-    if (inner_->has_quit()) disarm(ctx);
-  }
-
-  /// Detector-traffic entry point, shared by the packet path and the
-  /// simulator's slab-free background fast path.
-  void on_background(Context& ctx, ProcessId from, uint32_t kind) {
-    if (inner_->isolated().count(from) || inner_->has_quit()) return;
-    record_arrival(from, ctx.now());
-    if (kind == gmp::kind::kHeartbeat && !inner_->admitted()) {
-      ctx.send_background(from, gmp::kind::kHeartbeatAck);
-    }
-  }
-
-  /// One monitor period (external-driver entry points as in HeartbeatFd).
-  void tick(Context& ctx) {
-    scan(ctx, [&ctx](ProcessId q) { ctx.send_background(q, gmp::kind::kHeartbeat); });
-  }
-  void tick_collect(Context& ctx, std::vector<ProcessId>& out) {
-    scan(ctx, [&out](ProcessId q) { out.push_back(q); });
-  }
-
-  gmp::GmpNode& node() { return *inner_; }
-  const gmp::GmpNode& node() const { return *inner_; }
+  const Options& options() const { return opts_; }
 
   /// Last proof of life from `q` (0 = never heard).
-  Tick last_heard(ProcessId q) const {
-    return q < pairs_.size() ? pairs_[q].last : 0;
+  Tick last(ProcessId q) const { return q < pairs_.size() ? pairs_[q].last : 0; }
+
+  /// Synthetic proof-of-life refresh (first sighting, fast-forward
+  /// reconciliation): updates `last` WITHOUT recording an inter-arrival
+  /// sample — elided upkeep must not fabricate distribution data (real
+  /// elided arrivals are replayed through on_arrival and DO sample).
+  void mark_heard(ProcessId q, Tick t) { pair(q).last = t; }
+
+  /// mark_heard, but never moves `last` backwards.
+  void mark_heard_fresh(ProcessId q, Tick t) {
+    Pair& p = pair(q);
+    if (t > p.last) p.last = t;
+  }
+
+  /// Real (possibly replayed) detector-frame arrival: refresh proof of
+  /// life and feed the inter-arrival ring.
+  void on_arrival(ProcessId q, Tick t) {
+    Pair& p = pair(q);
+    if (p.last != 0 && t > p.last) add_sample(p, t - p.last);
+    if (t > p.last) p.last = t;
   }
 
   /// Current per-pair silence threshold: bootstrap until the fit is
@@ -178,45 +153,11 @@ class PhiFd final : public Actor {
     return pairs_[q].threshold;
   }
 
-  /// Smallest inter-arrival gap currently in `q`'s ring (0 = no samples).
-  /// The detector's skip horizon derives its conservative per-pair bound
-  /// from this: future samples can never drag the fitted threshold below
-  /// min(ring minimum, next benign gap) + z·min_stddev.
-  Tick min_gap(ProcessId q) const { return q < pairs_.size() ? pairs_[q].min_gap : 0; }
-
-  /// Sample count in `q`'s ring.
-  uint32_t samples(ProcessId q) const { return q < pairs_.size() ? pairs_[q].count : 0; }
-
-  /// Synthetic proof-of-life refresh from the fast-forward reconciliation:
-  /// updates `last` WITHOUT recording an inter-arrival sample — elided
-  /// upkeep must not fabricate distribution data (real elided arrivals are
-  /// replayed through on_elided_background and DO sample).
-  void mark_heard(ProcessId q, Tick t) { pair(q).last = t; }
-
-  /// mark_heard, but never moves `last` backwards.  Replayed elided
-  /// arrivals never land past their skip's target, so a packet delivered
-  /// after the skip is not older than them; the guard keeps that local.
-  void mark_heard_fresh(ProcessId q, Tick t) {
-    Pair& p = pair(q);
-    if (t > p.last) p.last = t;
-  }
-
-  /// Real (possibly replayed) arrival: refresh proof of life and feed the
-  /// inter-arrival ring.
-  void record_arrival(ProcessId q, Tick t) {
-    Pair& p = pair(q);
-    if (p.last != 0 && t > p.last) add_sample(p, t - p.last);
-    if (t > p.last) p.last = t;
-  }
-
-  /// Rebind to a (pooled) node for a fresh run, clearing per-run state but
-  /// keeping ring capacity.
-  void reset(gmp::GmpNode* inner, PhiOptions opts, bool self_arm) {
-    inner_ = inner;
-    if (!(opts == opts_)) z_ = phi_threshold_z(opts.threshold);
+  /// Clear per-run state, keeping ring capacity.
+  void reset(const Options& opts) {
+    const bool retune = !(opts == opts_);
     opts_ = opts;
-    self_arm_ = self_arm;
-    timer_ = 0;
+    if (retune) set_z();
     for (Pair& p : pairs_) {
       p.last = 0;
       p.count = 0;
@@ -226,12 +167,22 @@ class PhiFd final : public Actor {
       p.min_gap = 0;
       p.threshold = 0;
     }
-    scratch_.clear();
   }
 
+  // Simulator-driver hooks (fd::TimeoutDetector), defined in
+  // fd/detector.cpp.  The silence bound is a monotone lower bound on the
+  // moving threshold; the settle window hides behind the adaptive cap.
+  Tick pair_bound(ProcessId q, const sim::SimWorld& w) const;
+  static SteadyGate gate(const sim::SimWorld& w, const Options& o, Tick wave0);
+  static Tick settle_base(const Options& o) { return o.max_timeout; }
+
  private:
-  /// Per-peer adaptive state: proof of life plus the inter-arrival ring
-  /// summarized by running sum / sum-of-squares (O(1) refit per sample).
+  /// Smallest inter-arrival gap currently in `q`'s ring (0 = no samples).
+  Tick min_gap(ProcessId q) const { return q < pairs_.size() ? pairs_[q].min_gap : 0; }
+
+  /// Sample count in `q`'s ring.
+  uint32_t samples(ProcessId q) const { return q < pairs_.size() ? pairs_[q].count : 0; }
+
   struct Pair {
     Tick last = 0;
     uint32_t count = 0;
@@ -243,26 +194,11 @@ class PhiFd final : public Actor {
     std::vector<Tick> ring;
   };
 
-  template <typename Ping>
-  void scan(Context& ctx, Ping&& ping) {
-    if (inner_->has_quit()) return;
-    if (!inner_->admitted()) return;
-    const Tick now = ctx.now();
-    // Snapshot the membership (suspect() can commit a view change and
-    // reallocate the members vector mid-walk, as in HeartbeatFd).
-    scratch_.assign(inner_->view().members().begin(), inner_->view().members().end());
-    for (ProcessId q : scratch_) {
-      if (q == ctx.self() || inner_->isolated().count(q)) continue;
-      const Tick seen = last_heard(q);
-      if (seen == 0) {
-        pair(q).last = now;  // first sighting: grace starts now, no sample
-      } else if (now - seen > suspect_after(q)) {
-        inner_->suspect(ctx, q);
-        if (inner_->has_quit()) return;
-        continue;
-      }
-      ping(q);
-    }
+  /// z(threshold), and the smallest margin the adaptive threshold can ever
+  /// put above a pair's mean gap (σ is floored at min_stddev).
+  void set_z() {
+    z_ = phi_threshold_z(opts_.threshold);
+    zmargin_ = static_cast<Tick>(std::ceil(z_ * static_cast<double>(opts_.min_stddev)));
   }
 
   Pair& pair(ProcessId q) {
@@ -310,28 +246,13 @@ class PhiFd final : public Actor {
     }
   }
 
-  void arm(Context& ctx) {
-    timer_ = ctx.set_background_timer(opts_.interval, [this, &ctx] {
-      timer_ = 0;
-      tick(ctx);
-      if (!inner_->has_quit()) arm(ctx);
-    });
-  }
-
-  void disarm(Context& ctx) {
-    if (timer_ != 0) {
-      ctx.cancel_timer(timer_);
-      timer_ = 0;
-    }
-  }
-
-  gmp::GmpNode* inner_;
-  PhiOptions opts_;
-  bool self_arm_;
-  double z_ = 0.0;  ///< z-score form of opts_.threshold
-  TimerId timer_ = 0;
-  std::vector<Pair> pairs_;         ///< dense id -> adaptive monitor state
-  std::vector<ProcessId> scratch_;  ///< scan()'s membership snapshot
+  Options opts_;
+  double z_ = 0.0;    ///< z-score form of opts_.threshold
+  Tick zmargin_ = 0;  ///< ceil(z_ · min_stddev)
+  std::vector<Pair> pairs_;  ///< dense id -> adaptive monitor state
 };
+
+/// Decorating actor: one adaptive monitor per process.
+using PhiFd = TimeoutMonitor<PhiModel>;
 
 }  // namespace gmpx::fd

@@ -65,7 +65,6 @@ class BaselineCluster {
  private:
   void on_crash(ProcessId p, Tick t) {
     recorder_.crash(p, t);
-    if (!opts_.oracle.enabled) return;
     for (auto& [q, node] : nodes_) {
       if (q == p || world_.crashed(q)) continue;
       Tick d = opts_.oracle.min_delay +

@@ -4,9 +4,9 @@
 //
 // Failure detection is a first-class layer (src/fd/detector.hpp):
 // `ClusterOptions::detector` selects the scripted oracle (deterministic
-// crash-hook injection, the default) or the realistic heartbeat detector
-// (real ping/timeout monitoring that may suspect falsely under delay), and
-// `ClusterOptions::factory` accepts a custom implementation.  The cluster
+// crash-hook injection, the default) or one of the realistic timeout
+// detectors, heartbeat or φ (real ping/timeout monitoring that may suspect
+// falsely under delay).  The cluster
 // registers the detector's wire-traffic kinds with the simulator so
 // detector noise is metered separately from protocol messages and treated
 // as background for protocol-quiescence detection.
@@ -39,7 +39,6 @@ struct ClusterOptions {
   fd::OracleOptions oracle{};        ///< used when detector == kOracle
   fd::HeartbeatOptions heartbeat{};  ///< used when detector == kHeartbeat
   fd::PhiOptions phi{};              ///< used when detector == kPhi
-  fd::DetectorFactory factory;       ///< custom detector; overrides `detector`
   /// Joiner solicit / leave re-denunciation retry cap for every node;
   /// 0 = gmp::kDefaultJoinMaxAttempts.  Raised (e.g. to the legacy 200) to
   /// reproduce pre-give-up behaviour byte-for-byte.
@@ -71,7 +70,7 @@ class Cluster {
     nodes_.clear();
     ids_.clear();
     const bool detector_reusable =
-        detector_ && !opts.factory && !opts_.factory && opts.detector == opts_.detector &&
+        detector_ && opts.detector == opts_.detector &&
         (opts.detector == fd::DetectorKind::kOracle
              ? opts.oracle == opts_.oracle
              : (opts.detector == fd::DetectorKind::kHeartbeat ? opts.heartbeat == opts_.heartbeat
@@ -136,7 +135,7 @@ class Cluster {
 
   /// A settle window long enough that any detection the installed detector
   /// would inevitably fire does so inside it (the detector knows its own
-  /// timeouts — custom factory detectors included).
+  /// timeouts).
   Tick detection_settle(Tick worst_delay = 0) const {
     Tick d = worst_delay > opts_.delays.max_delay ? worst_delay : opts_.delays.max_delay;
     return detector_->settle_window(d);
@@ -166,10 +165,8 @@ class Cluster {
     if (reuse_detector) {
       detector_->reset();
     } else {
-      detector_ = opts_.factory
-                      ? opts_.factory()
-                      : fd::make_detector(opts_.detector, opts_.oracle, opts_.heartbeat,
-                                          opts_.phi);
+      detector_ =
+          fd::make_detector(opts_.detector, opts_.oracle, opts_.heartbeat, opts_.phi);
     }
     auto [bg_lo, bg_hi] = detector_->background_kinds();
     world_.set_background_kinds(bg_lo, bg_hi);
@@ -178,9 +175,8 @@ class Cluster {
     world_.set_burst_mode(opts_.burst);
     // Virtual-time fast-forward wiring: the detector owns the "no detection
     // can fire before tick T" question and the post-skip reconciliation.
-    // The default FailureDetector implementation answers "unknown", which
-    // disables skipping — custom detectors keep legacy behaviour until they
-    // implement the horizon contract.  (SimWorld::reset cleared both hooks;
+    // The oracle certifies "never"; the timeout detectors walk their
+    // monitors.  (SimWorld::reset cleared both hooks;
     // a pooled reset re-registers them here, so skip state never leaks
     // across runs.)
     world_.set_horizon_provider(

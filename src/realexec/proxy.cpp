@@ -369,7 +369,8 @@ struct DelayProxy::Impl {
       std::vector<pollfd> pfds;
       pfds.push_back({listen_fd, POLLIN, 0});
       pfds.push_back({wake_fds[0], POLLIN, 0});
-      size_t inbound_base = pfds.size();
+      const size_t inbound_base = pfds.size();
+      const size_t polled = inbound.size();
       for (Inbound& c : inbound) pfds.push_back({c.fd, POLLIN, 0});
       int fwd_slot = -1;
       if (fwd_fd >= 0) {
@@ -427,18 +428,15 @@ struct DelayProxy::Impl {
           if (fwd_fd >= 0 && (re & POLLOUT)) flush_fwd();
         }
       }
-      for (size_t i = 0; i < inbound.size();) {
-        pollfd& pf = pfds[inbound_base + i];
-        if (pf.fd != inbound[i].fd) {  // staleness guard after erase
-          ++i;
+      // Walk only the connections that were polled: accept_peers() above
+      // appended new ones past them (no pollfd yet; next pass polls them).
+      // Erasing keeps order, so polled entry k is always inbound[i].
+      for (size_t k = 0, i = 0; k < polled; ++k) {
+        if ((pfds[inbound_base + k].revents & (POLLIN | POLLERR | POLLHUP)) &&
+            !read_inbound(inbound[i])) {
+          ::close(inbound[i].fd);
+          inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(i));
           continue;
-        }
-        if (pf.revents & (POLLIN | POLLERR | POLLHUP)) {
-          if (!read_inbound(inbound[i])) {
-            ::close(inbound[i].fd);
-            inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(i));
-            continue;
-          }
         }
         ++i;
       }

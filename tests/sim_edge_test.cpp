@@ -165,16 +165,16 @@ TEST(SimEdge, ScriptAtBeforeCrashAtSameTickSendsSuccessfully) {
 TEST(SimEdge, SetDelaysAffectsOnlySubsequentSends) {
   SimWorld w(1, DelayModel{1, 1});
   Probe a, b;
-  w.add_actor(0, &a);
-  w.add_actor(1, &b);
-  w.start();
   std::vector<Tick> recv_at;
   struct Recorder : Actor {
     std::vector<Tick>* out;
     void on_packet(Context& ctx, const Packet&) override { out->push_back(ctx.now()); }
   } rec;
   rec.out = &recv_at;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
   w.add_actor(2, &rec);
+  w.start();
   w.at(10, [&] { w.context_of(0)->send(make(2, 0)); });   // 1-tick delay
   w.at(20, [&] { w.set_delays(DelayModel{100, 100}); });
   w.at(30, [&] { w.context_of(0)->send(make(2, 1)); });   // 100-tick delay
