@@ -8,6 +8,8 @@
 // --jobs value.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "harness/cluster.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/generator.hpp"
@@ -269,4 +271,70 @@ TEST(Determinism, SweepFailurePathIdenticalAcrossJobCounts) {
     EXPECT_EQ(serial.run_log[i].minimized_text, sharded.run_log[i].minimized_text);
     EXPECT_EQ(serial.run_log[i].tag, sharded.run_log[i].tag);
   }
+}
+
+namespace {
+
+/// splitmix64's finalizer: every input bit reaches every output bit, so a
+/// single changed field anywhere in the grid moves the whole fingerprint.
+uint64_t mix(uint64_t h, uint64_t v) {
+  uint64_t z = (h ^ v) + 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+uint64_t fold_runs(uint64_t h, const SweepResult& r) {
+  for (const SweepRun& run : r.run_log) {
+    h = mix(h, run.trace_hash);
+    h = mix(h, run.messages);
+    h = mix(h, run.fd_messages);
+    h = mix(h, run.skipped_ticks);
+    h = mix(h, run.skipped_events);
+    h = mix(h, run.aborted_joins);
+    h = mix(h, run.ops_attempted);
+    h = mix(h, std::bit_cast<uint64_t>(run.availability));
+  }
+  return mix(h, r.run_log.size());
+}
+
+}  // namespace
+
+TEST(Determinism, GoldenBehaviourFingerprint) {
+  // Cross-commit byte-identity pin.  The other tests here compare two
+  // executions of the *same* build; this one folds the observable behaviour
+  // of a fixed grid — single-group fuzz at n = 5 and n = 9, soak and mux,
+  // every profile and detector — into one constant pinned in the source.
+  // A change meant to be behaviour-preserving (a refactor, a faster horizon
+  // walk) must leave it green; a change that deliberately moves behaviour
+  // re-pins it and says why.  The simulation is integer arithmetic and
+  // availability a plain IEEE quotient, so the constant is the same in
+  // every build type and under the sanitizers.
+  const std::vector<fd::DetectorKind> all_detectors = {
+      fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat, fd::DetectorKind::kPhi};
+  uint64_t h = 0;
+  for (size_t n : {5u, 9u}) {
+    SweepOptions fuzz;
+    fuzz.seed_lo = 0;
+    fuzz.seed_hi = 100;
+    fuzz.detectors = all_detectors;
+    fuzz.gen.n = n;
+    fuzz.jobs = 2;
+    h = fold_runs(h, run_sweep(fuzz));
+  }
+  SweepOptions soak;
+  soak.seed_lo = 0;
+  soak.seed_hi = 10;
+  soak.detectors = all_detectors;
+  soak.soak = true;
+  soak.jobs = 2;
+  h = fold_runs(h, run_sweep(soak));
+  SweepOptions mux;
+  mux.seed_lo = 0;
+  mux.seed_hi = 3;
+  mux.profiles = {Profile::kGroupMux};
+  mux.detectors = all_detectors;
+  mux.jobs = 2;
+  h = fold_runs(h, run_sweep(mux));
+  EXPECT_EQ(h, 0xaffef5d34f47e6c1ull) << std::hex << "fingerprint 0x" << h;
 }
