@@ -235,19 +235,16 @@ Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
       // future arrival can refresh it, and replayed in-flight samples can
       // only delay the post-skip scan that judges it.
       const Tick threshold = model.suspect_after(q);
-      Tick fire = wave0;
-      if (fire <= seen + threshold) {
-        if (r != kNoRefresh) {
-          // Not provably steady, but still fed by upkeep: whether the next
-          // wave's in-flight pings refresh it before its silence crosses
-          // the threshold is a question of random frame timing the horizon
-          // must not second-guess.  Never skip past that wave.
-          if (wave0 < best) best = wave0;
-          continue;
-        }
-        const Tick k = (seen + threshold - fire) / opts_.interval + 1;
-        fire += k * opts_.interval;
-      }
+      // Every answer below is wave0 or a whole number of intervals past it,
+      // and wave0 is the floor no pair can undercut: the first pair that
+      // pins it fixes the walk's result, so the walk returns right there.
+      if (wave0 > seen + threshold) return wave0;  // past it already: the next scan
+      // Not provably steady, but still fed by upkeep: whether the next
+      // wave's in-flight pings refresh it before its silence crosses the
+      // threshold is a question of random frame timing the horizon must
+      // not second-guess.  Never skip past that wave.
+      if (r != kNoRefresh) return wave0;
+      const Tick fire = wave0 + ((seen + threshold - wave0) / opts_.interval + 1) * opts_.interval;
       if (fire < best) best = fire;
     }
   }

@@ -136,6 +136,14 @@ class FailureDetector {
   /// legacy settle-window behaviour — correct for custom detectors that do
   /// not implement the contract.  Implementations that report real
   /// horizons must also implement on_fast_forward().
+  ///
+  /// `now` is the floor: no answer is ever below it, and an implementation
+  /// may have a higher one (a timeout detector's is its next wave tick, or
+  /// `now` if later).  The runtime calls this before every skip attempt, so
+  /// an implementation that takes a minimum over many candidates should
+  /// return as soon as one reaches its floor — the same value a full walk
+  /// would give, at a fraction of the cost.  It must be pure: the result
+  /// may depend only on the current state, never change it.
   virtual Tick next_possible_detection(Tick now) const { return now; }
 
   /// Fast-forward reconciliation: the runtime jumped the clock from `from`
@@ -199,16 +207,17 @@ class OracleFd final : public FailureDetector {
 ///     straight to the destination monitor, never building a Packet;
 ///   * monitors are recycled across reset()s (pooled cluster reuse);
 ///   * whole ping/settle spans collapse under the virtual-time
-///     fast-forward: next_possible_detection() walks every (monitor, peer)
-///     pair and reports the first wave tick at which a silence could cross
-///     the pair's threshold, so the runtime can certify "no detection can
-///     fire before tick T" and elide every wave in between (on_fast_forward
-///     then re-arms the cadence and refreshes the pairs the elided pings
-///     would have refreshed).  The reasoning is per pair: a delay span
-///     whose every watched pair still has a provable refresh in flight
-///     keeps skipping; only pairs whose refresh chain the current delay
-///     model can no longer outpace pin the horizon, and never past the
-///     next wave (whose pings decide their fate).  See tests/README.md
+///     fast-forward: next_possible_detection() walks the (monitor, peer)
+///     pairs and reports the first wave tick at which a silence could cross
+///     a pair's threshold — stopping at the first pair that pins the next
+///     wave, which no pair can undercut — so the runtime can certify "no
+///     detection can fire before tick T" and elide every wave in between
+///     (on_fast_forward then re-arms the cadence and refreshes the pairs
+///     the elided pings would have refreshed).  The reasoning is per pair:
+///     a delay span whose every watched pair still has a provable refresh
+///     in flight keeps skipping; only pairs whose refresh chain the current
+///     delay model can no longer outpace pin the horizon, and never past
+///     the next wave (whose pings decide their fate).  See tests/README.md
 ///     "virtual time & skip horizons" for the exact divergence this is
 ///     allowed to introduce.
 ///
@@ -235,6 +244,9 @@ class TimeoutDetector final : public FailureDetector {
     return {gmp::kind::kHeartbeat, gmp::kind::kHeartbeatAck};
   }
 
+  /// Walks the (monitor, peer) pairs in registration and view order and
+  /// returns the earliest candidate wave, or the floor `max(next wave,
+  /// now)` at the first pair that pins it (see the contract above).
   Tick next_possible_detection(Tick now) const override;
   void on_fast_forward(Tick from, Tick to) override;
   void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) override;
