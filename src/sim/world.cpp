@@ -604,9 +604,12 @@ bool SimWorld::try_skip() {
   const Tick front_time = queue_.front().time;
   // The skip frontier: the background layer's earliest-effect horizon caps
   // it, and scripted faults / live protocol work pin it (scan the heap for
-  // the earliest live foreground deadline).  The horizon is queried first:
-  // when it cannot certify anything (storm delays) it answers "now" in
-  // O(1), so dense storm spans fail out before paying the O(queue) scan.
+  // the earliest live foreground deadline).  The horizon is queried first,
+  // so an answer at or before the queue front fails out before paying the
+  // O(queue) scan.  A timeout detector never answers below its next wave
+  // tick, and returns that floor as soon as one pair pins it — as unsteady
+  // pairs do under storm delays or a live fault axis — so such spans still
+  // take small skips up to the next wave rather than failing out.
   Tick target = horizon_fn_(now_);
   if (target <= front_time) return false;
   Tick fg_next = kNeverTick;
@@ -812,10 +815,12 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
     // no detection can ever fire (protocol idle now — the remaining upkeep
     // is noise), and a finite future horizon is jumped to and stepped,
     // whereupon the detection either fires (fresh foreground work re-opens
-    // the drain) or the horizon moves out.  A horizon at `now` means
-    // "unknown; anything could fire" (the default implementation, or the
-    // heartbeat detector under storm delays) — fall through to the legacy
-    // settle window, which is exactly how skip-free runs conclude.
+    // the drain) or the horizon moves out.  Under storm delays the timeout
+    // detectors answer their next wave tick, so this loop advances wave by
+    // wave.  A horizon at `now` means "unknown; anything could fire" (the
+    // default implementation, or a timeout detector whose wave is due this
+    // very tick) — fall through to the legacy settle window, which is
+    // exactly how skip-free runs conclude.
     if (horizon_fn_) {
       const Tick h = horizon_fn_(now_);
       if (h == kNeverTick) return true;
