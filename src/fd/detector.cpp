@@ -238,7 +238,7 @@ Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
       // Every answer below is wave0 or a whole number of intervals past it,
       // and wave0 is the floor no pair can undercut: the first pair that
       // pins it fixes the walk's result, so the walk returns right there.
-      if (wave0 > seen + threshold) return wave0;  // past it already: the next scan
+      if (wave0 > seen + threshold) return wave0;  // already past it: the next scan suspects
       // Not provably steady, but still fed by upkeep: whether the next
       // wave's in-flight pings refresh it before its silence crosses the
       // threshold is a question of random frame timing the horizon must

@@ -141,9 +141,9 @@ class FailureDetector {
   /// may have a higher one (a timeout detector's is its next wave tick, or
   /// `now` if later).  The runtime calls this before every skip attempt, so
   /// an implementation that takes a minimum over many candidates should
-  /// return as soon as one reaches its floor — the same value a full walk
-  /// would give, at a fraction of the cost.  It must be pure: the result
-  /// may depend only on the current state, never change it.
+  /// return as soon as one reaches its floor: the full minimum would be the
+  /// same value.  That shortcut needs the walk to be pure — reading state,
+  /// never changing it.
   virtual Tick next_possible_detection(Tick now) const { return now; }
 
   /// Fast-forward reconciliation: the runtime jumped the clock from `from`
@@ -244,9 +244,6 @@ class TimeoutDetector final : public FailureDetector {
     return {gmp::kind::kHeartbeat, gmp::kind::kHeartbeatAck};
   }
 
-  /// Walks the (monitor, peer) pairs in registration and view order and
-  /// returns the earliest candidate wave, or the floor `max(next wave,
-  /// now)` at the first pair that pins it (see the contract above).
   Tick next_possible_detection(Tick now) const override;
   void on_fast_forward(Tick from, Tick to) override;
   void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) override;
