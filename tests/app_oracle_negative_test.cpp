@@ -360,3 +360,104 @@ TEST(AppOracleNegative, Q2DuplicateSubmitId) {
   }
   expect_only(b.judge(), "APP-Q2");
 }
+
+// ---------------------------------------------------------------------------
+// Diagnostics pin: one trace trips APP-R1, R2, R4, Q1 and Q2 at least twice
+// each, and the whole violation list is asserted verbatim — wording, the
+// order of clauses, and the order within each clause (event order, except
+// APP-Q1's "never done" lines, which come out in tid order although the
+// submits below are logged in reverse tid order).
+// ---------------------------------------------------------------------------
+
+TEST(AppOracleNegative, MixedTraceDiagnosticsArePinned) {
+  Base b;
+  auto commit = [&](Tick t, ProcessId p, ViewVersion id_view, uint32_t seq, uint32_t key,
+                    ViewVersion view) {
+    auto& c = b.app.record(t, kCommit, p);
+    c.id = make_app_id(id_view, seq);
+    c.key = key;
+    c.view = view;
+  };
+  auto apply = [&](Tick t, ProcessId p, uint32_t seq, uint32_t key) {
+    auto& a = b.app.record(t, AppEventKind::kApply, p);
+    a.id = make_app_id(0, seq);
+    a.key = key;
+  };
+  auto read = [&](Tick t, ProcessId p, uint64_t id, uint32_t key) {
+    auto& rd = b.app.record(t, AppEventKind::kRead, p);
+    rd.id = id;
+    rd.key = key;
+    rd.view = 0;
+  };
+  auto queue = [&](Tick t, AppEventKind k, ProcessId p, uint32_t seq, ProcessId peer) {
+    auto& q = b.app.record(t, k, p);
+    q.id = make_app_id(0, seq);
+    q.peer = peer;
+    q.view = 0;
+  };
+
+  // APP-R1: a double commit, a view-word mismatch, two writers in view 0.
+  commit(10, 0, 0, 1, 1, 0);
+  commit(11, 1, 0, 1, 1, 0);
+  commit(12, 0, 2, 1, 3, 0);
+  commit(13, 1, 0, 2, 1, 0);
+  commit(14, 2, 0, 3, 2, 0);
+  // APP-R2: phantom applies, a regressing apply, a phantom read.
+  apply(20, 1, 9, 4);
+  apply(21, 2, 2, 1);
+  apply(22, 2, 1, 1);
+  apply(23, 0, 3, 1);  // committed for key 2, applied as key 1
+  read(24, 2, make_app_id(0, 7), 5);
+  // APP-R4: stale reads well past the bound, calm network, view 0.
+  read(200, 1, 0, 1);
+  read(300, 2, make_app_id(0, 1), 1);
+  read(310, 0, 0, 2);
+  // APP-Q2: duplicate submits and double claims within view 0.
+  queue(400, AppEventKind::kSubmit, 0, 1, kNilId);
+  queue(401, AppEventKind::kSubmit, 1, 1, kNilId);
+  queue(402, AppEventKind::kSubmit, 0, 2, kNilId);
+  queue(403, AppEventKind::kAssign, 0, 2, 1);
+  queue(404, AppEventKind::kAssign, 0, 2, 2);
+  queue(405, AppEventKind::kSubmit, 0, 2, kNilId);
+  queue(406, AppEventKind::kAssign, 0, 1, 2);
+  queue(407, AppEventKind::kAssign, 0, 1, 1);
+  for (uint32_t seq : {1u, 2u}) queue(410, AppEventKind::kTaskDone, 0, seq, kNilId);
+  // APP-Q1: items known to survivors but never done, logged out of tid
+  // order, plus items stuck in the survivors' final tables.
+  queue(500, AppEventKind::kSubmit, 0, 6, kNilId);
+  queue(501, AppEventKind::kMirror, 2, 6, kNilId);
+  queue(502, AppEventKind::kSubmit, 1, 4, kNilId);
+  queue(503, AppEventKind::kSubmit, 0, 5, kNilId);
+  for (ProcessId p : {0u, 1u}) {
+    ReplicaState st;
+    st.id = p;
+    st.queue = {{make_app_id(0, 4), 1}, {make_app_id(0, 5), 2}};
+    b.finals.push_back(st);
+  }
+
+  const std::vector<std::string> expected = {
+      "APP-R1: write id 0.1 committed twice (p0 then p1)",
+      "APP-R1: p0 committed 2.1 while in view 0",
+      "APP-R1: two writers in view 0 (p0 and p1)",
+      "APP-R1: two writers in view 0 (p0 and p2)",
+      "APP-R2: p1 applied phantom write 0.9 for key 4",
+      "APP-R2: p2 applied non-monotone write 0.1 after 0.2 for key 1",
+      "APP-R2: p0 applied phantom write 0.3 for key 1",
+      "APP-R2: p2 read phantom write 0.7 for key 5",
+      "APP-R4: p1 served key 1 = 0.0 at t=200 but 0.2 committed in the same view at t=13 (bound 64)",
+      "APP-R4: p2 served key 1 = 0.1 at t=300 but 0.2 committed in the same view at t=13 (bound 64)",
+      "APP-R4: p0 served key 2 = 0.0 at t=310 but 0.3 committed in the same view at t=14 (bound 64)",
+      "APP-Q2: work item 0.1 submitted twice",
+      "APP-Q2: work item 0.2 submitted twice",
+      "APP-Q2: work item 0.2 claimed by p1 and p2 in view 0",
+      "APP-Q2: work item 0.1 claimed by p2 and p1 in view 0",
+      "APP-Q1: work item 0.4 (submitted by p1) known to a survivor but never done",
+      "APP-Q1: work item 0.5 (submitted by p0) known to a survivor but never done",
+      "APP-Q1: work item 0.6 (submitted by p0) known to a survivor but never done",
+      "APP-Q1: work item 0.4 stuck in state 1 at survivor p0",
+      "APP-Q1: work item 0.5 stuck in state 2 at survivor p0",
+      "APP-Q1: work item 0.4 stuck in state 1 at survivor p1",
+      "APP-Q1: work item 0.5 stuck in state 2 at survivor p1",
+  };
+  EXPECT_EQ(b.judge().violations, expected);
+}

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "group/process_group.hpp"
@@ -96,26 +98,41 @@ TEST(Group, BroadcastReachesCurrentView) {
 
 TEST(Group, FutureViewPayloadIsHeldUntilInstalled) {
   // p0 installs v1 then immediately broadcasts; a slow receiver must not
-  // see the payload before its own v1 install (S3 buffering at app level).
+  // see the payloads before its own v1 install (S3 buffering at app level).
+  // A held payload owns its bytes: the packet buffers that carried it are
+  // recycled and rewritten by the view-change traffic and the later
+  // payloads long before the hold releases, yet the text arrives intact.
   Fixture f(4, 1009);
+  const std::vector<std::string> held = {"from-v1", std::string(300, 'x') + "-tail", "third"};
   std::map<ProcessId, ViewVersion> version_at_delivery;
+  std::map<ProcessId, std::vector<std::string>> got;
   for (ProcessId p = 1; p < 4; ++p) {
-    f.groups[p]->on_message([&, p](ProcessId, const std::string&) {
-      version_at_delivery[p] = f.groups[p]->view().version();
+    f.groups[p]->on_message([&, p](ProcessId from, std::string_view m) {
+      if (from != 0) return;
+      if (!version_at_delivery.count(p)) version_at_delivery[p] = f.groups[p]->view().version();
+      got[p].emplace_back(m);
     });
   }
   f.cluster.start();
   f.groups[0]->on_view_change([&](const gmp::View& v) {
     if (v.version() == 1) {
       // Fires inside p0's commit processing: receivers likely at v0 still.
-      f.groups[0]->broadcast(*f.cluster.world().context_of(0), "from-v1");
+      for (const std::string& m : held) {
+        f.groups[0]->broadcast(*f.cluster.world().context_of(0), m);
+      }
     }
   });
   f.cluster.crash_at(100, 3);
+  f.cluster.world().at(3000, [&] {
+    f.groups[0]->broadcast(*f.cluster.world().context_of(0), "after");
+  });
   ASSERT_TRUE(f.cluster.run_to_quiescence());
+  std::vector<std::string> expected = held;
+  expected.push_back("after");
   for (ProcessId p : {1u, 2u}) {
     ASSERT_TRUE(version_at_delivery.count(p)) << "p" << p << " never got the payload";
     EXPECT_GE(version_at_delivery[p], 1u) << "delivered before view install";
+    EXPECT_EQ(got[p], expected) << "p" << p;
   }
 }
 

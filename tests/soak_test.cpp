@@ -5,9 +5,18 @@
 // soak_smoke ctest entry; these tests pin the pieces in isolation.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "app/app_trace.hpp"
+#include "app/registry.hpp"
+#include "app/work_queue.hpp"
+#include "group/process_group.hpp"
+#include "harness/cluster.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/schedule.hpp"
@@ -296,4 +305,141 @@ TEST(Soak, MinimizeSoakShrinksBothSides) {
   EXPECT_EQ(stats.ops_after, 1u) << "workload should shrink to the single key-7 op";
   EXPECT_LE(stats.events_after, 2u);
   EXPECT_GT(stats.probes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// App text protocol: sync round trips and truncated payloads
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Four members with a ProcessGroup each; p3 crashes at tick 100, so the
+/// apps run in view 1 and their ids carry a nonzero view word.  p1 runs no
+/// app: it records every payload delivered to it, verbatim.
+struct AppWire {
+  AppWire()
+      : cluster([] {
+          harness::ClusterOptions o;
+          o.n = 4;
+          o.seed = 17;
+          return o;
+        }()) {
+    for (ProcessId p = 0; p < 4; ++p) {
+      groups.push_back(std::make_unique<group::ProcessGroup>(&cluster.node(p)));
+    }
+    groups[1]->on_message([this](ProcessId, std::string_view m) { at_p1.emplace_back(m); });
+    cluster.crash_at(100, 3);
+  }
+
+  std::function<Context*()> ctx(ProcessId p) {
+    return [this, p] { return cluster.world().context_of(p); };
+  }
+
+  harness::Cluster cluster;
+  std::vector<std::unique_ptr<group::ProcessGroup>> groups;
+  std::vector<std::string> at_p1;
+};
+
+template <typename Table>
+std::vector<std::pair<uint32_t, uint64_t>> registry_rows(const Table& t) {
+  return {t.begin(), t.end()};
+}
+
+using TaskRow = std::tuple<uint64_t, int, ProcessId, uint64_t>;
+
+template <typename Table>
+std::vector<TaskRow> task_rows(const Table& t) {
+  std::vector<TaskRow> rows;
+  for (const auto& [tid, r] : t) rows.emplace_back(tid, r.state, r.worker, r.astamp);
+  return rows;
+}
+
+}  // namespace
+
+TEST(Soak, RegistrySyncRebuildsTableOnFreshReplica) {
+  AppWire f;
+  app::AppTrace trace;
+  app::Registry src(f.groups[0].get(), &trace, f.ctx(0));
+  f.cluster.start();
+  f.cluster.world().at(3000, [&] {
+    for (uint32_t key : {7u, 3u, 7u, 12u}) ASSERT_TRUE(src.client_write(key));
+    src.sync_round();
+  });
+  ASSERT_TRUE(f.cluster.run_to_quiescence());
+  const std::vector<std::string> wire = {
+      "w 7 4294967297", "w 3 4294967298", "w 7 4294967299", "w 12 4294967300",
+      "W 3:4294967298 7:4294967299 12:4294967300",
+  };
+  ASSERT_EQ(f.at_p1, wire);
+
+  app::AppTrace fresh_trace;
+  app::Registry fresh(f.groups[1].get(), &fresh_trace, f.ctx(1));
+  EXPECT_TRUE(fresh.handle(0, f.at_p1.back()));
+  EXPECT_EQ(registry_rows(fresh.data()), registry_rows(src.data()));
+}
+
+TEST(Soak, RegistryTruncatedPayloadsApplyWhatParses) {
+  AppWire f;
+  app::AppTrace trace;
+  app::Registry r(f.groups[1].get(), &trace, f.ctx(1));
+  f.cluster.start();
+  for (const char* m : {"", "x 1 2"}) EXPECT_FALSE(r.handle(0, m)) << m;
+  for (const char* m : {"w", "w 5", "w 6 9", "w  8 2", "W 1:5 2", "W 2:7 ", "W 3:4,4:6", "W",
+                        "W 9:", "w 99999999999999999999 1", "w 10 -3", "w 11 +4", "w12 3",
+                        "w 13 4x", "W 14:1:15:2"}) {
+    EXPECT_TRUE(r.handle(0, m)) << m;
+  }
+  const std::vector<std::pair<uint32_t, uint64_t>> expected = {
+      {1, 5},  {2, 7},  {3, 4},  {4, 6},  {6, 9},  {8, 2},  {10, 18446744073709551613u},
+      {11, 4}, {12, 3}, {13, 4}, {14, 1}, {15, 2}, {4294967295u, 1},
+  };
+  EXPECT_EQ(registry_rows(r.data()), expected);
+}
+
+TEST(Soak, WorkQueueSyncRebuildsTableOnFreshReplica) {
+  AppWire f;
+  app::AppTrace trace;
+  app::WorkQueue src(f.groups[0].get(), &trace, f.ctx(0));
+  app::WorkQueue worker(f.groups[2].get(), &trace, f.ctx(2));
+  f.groups[0]->on_message([&](ProcessId from, const auto& m) { src.handle(from, m); });
+  f.groups[2]->on_message([&](ProcessId from, const auto& m) { worker.handle(from, m); });
+  f.cluster.start();
+  f.cluster.world().at(3000, [&] {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(src.client_submit());
+  });
+  f.cluster.world().at(6000, [&] { src.sync_round(); });
+  ASSERT_TRUE(f.cluster.run_to_quiescence());
+  const std::vector<std::string> wire = {
+      "s 4294967297", "a 4294967297 1 4294967297",
+      "s 4294967298", "a 4294967298 2 4294967298",
+      "s 4294967299", "a 4294967299 1 4294967299",
+      "d 4294967298",
+      "Q 4294967297:2:1:4294967297 4294967298:3:2:4294967298 4294967299:2:1:4294967299",
+  };
+  ASSERT_EQ(f.at_p1, wire);
+
+  // p0 is the coordinator and never a worker, so the fresh table neither
+  // executes nor re-dispatches anything it merges.
+  app::AppTrace fresh_trace;
+  app::WorkQueue fresh(f.groups[0].get(), &fresh_trace, f.ctx(0));
+  EXPECT_TRUE(fresh.handle(1, f.at_p1.back()));
+  EXPECT_EQ(task_rows(fresh.tasks()), task_rows(src.tasks()));
+}
+
+TEST(Soak, WorkQueueTruncatedPayloadsApplyWhatParses) {
+  AppWire f;
+  app::AppTrace trace;
+  app::WorkQueue q(f.groups[1].get(), &trace, f.ctx(1));  // not the coordinator
+  f.cluster.start();
+  for (const char* m : {"", "z 1"}) EXPECT_FALSE(q.handle(0, m)) << m;
+  for (const char* m : {"s", "s 7", "a 5 2", "a 5 2 9", "d 7", "Q 1:2:3", "Q 1:2:3:4 ",
+                        "Q 2:1:4294967295:0,3:3:2:8:", "Q 4:2:2:5 9", "s  8", "a 6 2 3 4",
+                        "d", "Q"}) {
+    EXPECT_TRUE(q.handle(0, m)) << m;
+  }
+  const std::vector<TaskRow> expected = {
+      {1, 2, 3, 4}, {2, 1, kNilId, 0}, {3, 3, 2, 8}, {4, 2, 2, 5},
+      {5, 2, 2, 9}, {6, 2, 2, 3},      {7, 3, kNilId, 0}, {8, 1, kNilId, 0},
+  };
+  EXPECT_EQ(task_rows(q.tasks()), expected);
 }
