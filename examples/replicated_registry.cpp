@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "app/app_trace.hpp"
@@ -49,7 +50,7 @@ int main() {
     m.group = std::make_unique<group::ProcessGroup>(&c.node(p));
     m.registry = std::make_unique<app::Registry>(
         m.group.get(), &trace, [&c, p]() { return c.world().context_of(p); });
-    m.group->on_message([&members, p](ProcessId from, const std::string& payload) {
+    m.group->on_message([&members, p](ProcessId from, std::string_view payload) {
       members[p].registry->handle(from, payload);
     });
     m.group->on_view_change([&members, p](const gmp::View& v) {

@@ -13,6 +13,7 @@
 //   build/examples/example_work_queue
 #include <cstdio>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "app/app_trace.hpp"
@@ -47,7 +48,7 @@ int main() {
     m.group = std::make_unique<group::ProcessGroup>(&c.node(p));
     m.queue = std::make_unique<app::WorkQueue>(
         m.group.get(), &trace, [&c, p]() { return c.world().context_of(p); });
-    m.group->on_message([&members, p](ProcessId from, const std::string& payload) {
+    m.group->on_message([&members, p](ProcessId from, std::string_view payload) {
       members[p].queue->handle(from, payload);
     });
     m.group->on_view_change([&members, p](const gmp::View&) { members[p].queue->on_view(); });

@@ -1,23 +1,8 @@
 #include "app/registry.hpp"
 
-#include <cstdlib>
+#include "app/text_fields.hpp"
 
 namespace gmpx::app {
-
-namespace {
-
-/// Parse an unsigned decimal starting at `*s`, advancing past it and any
-/// one trailing separator.  Returns false on no digits.
-bool parse_u64(const char*& s, uint64_t& out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return false;
-  out = v;
-  s = (*end == ' ' || *end == ':' || *end == ',') ? end + 1 : end;
-  return true;
-}
-
-}  // namespace
 
 bool Registry::client_write(uint32_t key) {
   Context* ctx = ctx_();
@@ -33,7 +18,12 @@ bool Registry::client_write(uint32_t key) {
   e.key = key;
   e.view = v;
   apply(*ctx, key, wid);
-  group_->broadcast(*ctx, "w " + std::to_string(key) + " " + std::to_string(wid));
+  out_.clear();
+  out_ += "w ";
+  append_u64(out_, key);
+  out_ += ' ';
+  append_u64(out_, wid);
+  group_->broadcast(*ctx, out_);
   return true;
 }
 
@@ -60,43 +50,32 @@ void Registry::apply(Context& ctx, uint32_t key, uint64_t wid) {
   e.view = group_->view().version();
 }
 
-bool Registry::handle(ProcessId /*from*/, const std::string& payload) {
-  if (payload.empty()) return false;
+bool Registry::handle(ProcessId /*from*/, std::string_view payload) {
+  if (payload.empty() || (payload[0] != 'w' && payload[0] != 'W')) return false;
   Context* ctx = ctx_();
+  if (!ctx) return true;
+  FieldReader in(payload.substr(1));
+  uint64_t key = 0, wid = 0;
   if (payload[0] == 'w') {
-    if (!ctx) return true;
-    const char* s = payload.c_str() + 1;
-    if (*s == ' ') ++s;
-    uint64_t key = 0, wid = 0;
-    if (parse_u64(s, key) && parse_u64(s, wid)) {
-      apply(*ctx, static_cast<uint32_t>(key), wid);
-    }
-    return true;
+    if (in.next(key) && in.next(wid)) apply(*ctx, static_cast<uint32_t>(key), wid);
+  } else {
+    while (in.next(key) && in.next(wid)) apply(*ctx, static_cast<uint32_t>(key), wid);
   }
-  if (payload[0] == 'W') {
-    if (!ctx) return true;
-    const char* s = payload.c_str() + 1;
-    if (*s == ' ') ++s;
-    uint64_t key = 0, wid = 0;
-    while (parse_u64(s, key) && parse_u64(s, wid)) {
-      apply(*ctx, static_cast<uint32_t>(key), wid);
-    }
-    return true;
-  }
-  return false;
+  return true;
 }
 
 void Registry::sync_round() {
   Context* ctx = ctx_();
   if (!ctx || data_.empty()) return;
-  std::string m = "W";
+  out_.clear();
+  out_ += 'W';
   for (const auto& [key, wid] : data_) {
-    m += ' ';
-    m += std::to_string(key);
-    m += ':';
-    m += std::to_string(wid);
+    out_ += ' ';
+    append_u64(out_, key);
+    out_ += ':';
+    append_u64(out_, wid);
   }
-  group_->broadcast(*ctx, m);
+  group_->broadcast(*ctx, out_);
 }
 
 }  // namespace gmpx::app

@@ -18,14 +18,18 @@
 // Wire protocol (string payloads over group::ProcessGroup):
 //   "w <key> <wid>"              one write, replicated at commit time
 //   "W <key>:<wid> <key>:<wid>"  full-state sync (anti-entropy round)
+// Outgoing payloads are built in one reused buffer and incoming ones are
+// parsed in place from the handler's view (app/text_fields.hpp); the text
+// format is unchanged.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 
 #include "app/app_trace.hpp"
+#include "common/flat_set.hpp"
 #include "common/runtime.hpp"
 #include "group/process_group.hpp"
 
@@ -51,19 +55,19 @@ class Registry {
   /// need the primary); records the observation for the staleness oracle.
   uint64_t client_read(ProcessId client, uint32_t key);
 
-  /// Feed one delivered group payload.  Returns true when consumed (a
-  /// registry message), false to let the caller offer it to other apps
-  /// sharing the ProcessGroup.
-  bool handle(ProcessId from, const std::string& payload);
+  /// Feed one delivered group payload (read during the call only).
+  /// Returns true when consumed (a registry message), false to let the
+  /// caller offer it to other apps sharing the ProcessGroup.
+  bool handle(ProcessId from, std::string_view payload);
 
   /// Anti-entropy: broadcast the full replica state.  Idempotent by the
   /// merge rule; the soak runner fires these after quiescence until every
   /// survivor's replica converges.
   void sync_round();
 
-  /// Replica state (key -> highest applied write id), for convergence
-  /// checks and final-state agreement.
-  const std::map<uint32_t, uint64_t>& data() const { return data_; }
+  /// Replica state (key -> highest applied write id, ascending keys), for
+  /// convergence checks and final-state agreement.
+  const FlatMap<uint32_t, uint64_t>& data() const { return data_; }
 
  private:
   void apply(Context& ctx, uint32_t key, uint64_t wid);
@@ -71,7 +75,8 @@ class Registry {
   group::ProcessGroup* group_;
   AppTrace* trace_;
   ContextProvider ctx_;
-  std::map<uint32_t, uint64_t> data_;
+  FlatMap<uint32_t, uint64_t> data_;
+  std::string out_;  ///< outgoing payload, rebuilt per send (capacity reused)
   /// Per-view write sequence (resets when the primary's view advances, so
   /// wid = (view << 32) | seq never collides across views).
   uint32_t wseq_ = 0;

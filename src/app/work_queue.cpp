@@ -1,23 +1,11 @@
 #include "app/work_queue.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
+#include "app/text_fields.hpp"
+
 namespace gmpx::app {
-
-namespace {
-
-bool parse_u64(const char*& s, uint64_t& out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return false;
-  out = v;
-  s = (*end == ' ' || *end == ':' || *end == ',') ? end + 1 : end;
-  return true;
-}
-
-}  // namespace
 
 uint64_t WorkQueue::next_stamp(ViewVersion v, uint32_t& seq, ViewVersion& seq_view) {
   if (v != seq_view) {
@@ -37,7 +25,10 @@ bool WorkQueue::client_submit() {
   e.view = v;
   TaskRecord& t = tasks_[tid];  // local accept: no kMirror (that's replication)
   t.state = 1;
-  group_->broadcast(*ctx, "s " + std::to_string(tid));
+  out_.clear();
+  out_ += "s ";
+  append_u64(out_, tid);
+  group_->broadcast(*ctx, out_);
   dispatch();
   return true;
 }
@@ -79,7 +70,10 @@ void WorkQueue::maybe_execute(Context& ctx) {
       d.id = tid;
       d.view = group_->view().version();
     }
-    group_->broadcast(ctx, "d " + std::to_string(tid));
+    out_.clear();
+    out_ += "d ";
+    append_u64(out_, tid);
+    group_->broadcast(ctx, out_);
   }
 }
 
@@ -88,7 +82,9 @@ void WorkQueue::dispatch() {
   if (!ctx || !group_->is_coordinator()) return;
   const gmp::View& view = group_->view();
   const ViewVersion v = view.version();
-  std::vector<ProcessId> cand = view.sorted_members();
+  std::vector<ProcessId>& cand = cand_;
+  cand.assign(view.members().begin(), view.members().end());
+  std::sort(cand.begin(), cand.end());
   if (cand.size() > 1) {
     cand.erase(std::remove(cand.begin(), cand.end(), ctx->self()), cand.end());
   }
@@ -111,59 +107,52 @@ void WorkQueue::dispatch() {
     if (t.state < 2) t.state = 2;
     t.worker = w;
     t.astamp = stamp;
-    group_->broadcast(*ctx, "a " + std::to_string(tid) + " " + std::to_string(w) + " " +
-                                std::to_string(stamp));
+    out_.clear();
+    out_ += "a ";
+    append_u64(out_, tid);
+    out_ += ' ';
+    append_u64(out_, w);
+    out_ += ' ';
+    append_u64(out_, stamp);
+    group_->broadcast(*ctx, out_);
   }
   maybe_execute(*ctx);  // degenerate singleton view assigns to self
 }
 
-bool WorkQueue::handle(ProcessId /*from*/, const std::string& payload) {
+bool WorkQueue::handle(ProcessId /*from*/, std::string_view payload) {
   if (payload.empty()) return false;
+  const char tag = payload[0];
+  if (tag != 's' && tag != 'a' && tag != 'd' && tag != 'Q') return false;
   Context* ctx = ctx_();
-  switch (payload[0]) {
-    case 's': {
-      if (!ctx) return true;
-      const char* s = payload.c_str() + 1;
-      uint64_t tid = 0;
-      if (*s == ' ') ++s;
-      if (parse_u64(s, tid)) merge(*ctx, tid, 1, kNilId, 0);
-      return true;
-    }
+  if (!ctx) return true;
+  FieldReader in(payload.substr(1));
+  uint64_t tid = 0;
+  switch (tag) {
+    case 's':
+      if (in.next(tid)) merge(*ctx, tid, 1, kNilId, 0);
+      break;
+    case 'd':
+      if (in.next(tid)) merge(*ctx, tid, 3, kNilId, 0);
+      break;
     case 'a': {
-      if (!ctx) return true;
-      const char* s = payload.c_str() + 1;
-      if (*s == ' ') ++s;
-      uint64_t tid = 0, worker = 0, stamp = 0;
-      if (parse_u64(s, tid) && parse_u64(s, worker) && parse_u64(s, stamp)) {
+      uint64_t worker = 0, stamp = 0;
+      if (in.next(tid) && in.next(worker) && in.next(stamp)) {
         merge(*ctx, tid, 2, static_cast<ProcessId>(worker), stamp);
         maybe_execute(*ctx);
       }
-      return true;
+      break;
     }
-    case 'd': {
-      if (!ctx) return true;
-      const char* s = payload.c_str() + 1;
-      uint64_t tid = 0;
-      if (*s == ' ') ++s;
-      if (parse_u64(s, tid)) merge(*ctx, tid, 3, kNilId, 0);
-      return true;
-    }
-    case 'Q': {
-      if (!ctx) return true;
-      const char* s = payload.c_str() + 1;
-      if (*s == ' ') ++s;
-      uint64_t tid = 0, state = 0, worker = 0, stamp = 0;
-      while (parse_u64(s, tid) && parse_u64(s, state) && parse_u64(s, worker) &&
-             parse_u64(s, stamp)) {
+    default: {  // 'Q'
+      uint64_t state = 0, worker = 0, stamp = 0;
+      while (in.next(tid) && in.next(state) && in.next(worker) && in.next(stamp)) {
         merge(*ctx, tid, static_cast<uint8_t>(state), static_cast<ProcessId>(worker), stamp);
       }
       maybe_execute(*ctx);
       dispatch();  // the merge may have surfaced unassigned/orphaned items
-      return true;
+      break;
     }
-    default:
-      return false;
   }
+  return true;
 }
 
 void WorkQueue::on_view() { dispatch(); }
@@ -172,18 +161,19 @@ void WorkQueue::sync_round() {
   Context* ctx = ctx_();
   if (!ctx) return;
   if (!tasks_.empty()) {
-    std::string m = "Q";
+    out_.clear();
+    out_ += 'Q';
     for (const auto& [tid, t] : tasks_) {
-      m += ' ';
-      m += std::to_string(tid);
-      m += ':';
-      m += std::to_string(static_cast<uint64_t>(t.state));
-      m += ':';
-      m += std::to_string(t.worker);
-      m += ':';
-      m += std::to_string(t.astamp);
+      out_ += ' ';
+      append_u64(out_, tid);
+      out_ += ':';
+      append_u64(out_, t.state);
+      out_ += ':';
+      append_u64(out_, t.worker);
+      out_ += ':';
+      append_u64(out_, t.astamp);
     }
-    group_->broadcast(*ctx, m);
+    group_->broadcast(*ctx, out_);
   }
   dispatch();
   maybe_execute(*ctx);

@@ -22,14 +22,19 @@
 //   "a <tid> <worker> <astamp>"        assignment
 //   "d <tid>"                          completion
 //   "Q <tid>:<state>:<worker>:<astamp> ..."  full-table sync
+// Outgoing payloads are built in one reused buffer and incoming ones are
+// parsed in place from the handler's view (app/text_fields.hpp); the text
+// format is unchanged.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "app/app_trace.hpp"
+#include "common/flat_set.hpp"
 #include "common/runtime.hpp"
 #include "group/process_group.hpp"
 
@@ -57,8 +62,9 @@ class WorkQueue {
   /// elsewhere (counted as unavailable by the soak driver).
   bool client_submit();
 
-  /// Feed one delivered group payload; true when consumed.
-  bool handle(ProcessId from, const std::string& payload);
+  /// Feed one delivered group payload (read during the call only); true
+  /// when consumed.
+  bool handle(ProcessId from, std::string_view payload);
 
   /// View-change hook: the (possibly new) coordinator reclaims items held
   /// by departed workers and re-dispatches.  Wire to the shared
@@ -76,7 +82,8 @@ class WorkQueue {
   /// True when every known task reached done.
   bool all_done() const;
 
-  const std::map<uint64_t, TaskRecord>& tasks() const { return tasks_; }
+  /// The replicated task table, ascending by tid.
+  const FlatMap<uint64_t, TaskRecord>& tasks() const { return tasks_; }
 
  private:
   /// Merge one remote observation into the local table (monotone).
@@ -88,12 +95,14 @@ class WorkQueue {
   group::ProcessGroup* group_;
   AppTrace* trace_;
   ContextProvider ctx_;
-  std::map<uint64_t, TaskRecord> tasks_;
+  FlatMap<uint64_t, TaskRecord> tasks_;
+  std::string out_;  ///< outgoing payload, rebuilt per send (capacity reused)
   uint32_t tseq_ = 0;  ///< per-view submit sequence (coordinator only)
   ViewVersion tseq_view_ = 0;
   uint32_t aseq_ = 0;  ///< per-view assignment sequence (coordinator only)
   ViewVersion aseq_view_ = 0;
   size_t rr_ = 0;  ///< round-robin cursor over assignment candidates
+  std::vector<ProcessId> cand_;  ///< dispatch scratch: assignment candidates
 };
 
 }  // namespace gmpx::app

@@ -22,6 +22,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -197,7 +198,7 @@ class Writer {
   void u64(uint64_t v) { u(v); }
   void b(bool v) { u8(v ? 1 : 0); }
 
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
@@ -259,10 +260,14 @@ class Reader {
   uint64_t u64() { return u<uint64_t>(); }
   bool b() { return u8() != 0; }
 
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+
+  /// Non-owning view of the next length-prefixed string; valid only while
+  /// the backing payload is.
+  std::string_view str_view() {
     uint32_t n = u32();
     if (pos_ + n > buf_.size()) throw CodecError("string underrun");
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
+    std::string_view s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return s;
   }

@@ -14,12 +14,21 @@
 //     ("no messages from future views": payloads from a view the receiver
 //     has not installed yet are buffered until it catches up).
 //
+// Payloads reach the message handler as a std::string_view that is valid
+// only for the duration of the call: a live delivery views the packet
+// buffer in place, which the runtime may reuse once the handler returns.
+// Only a payload held for a future view is copied, and the held copy owns
+// its bytes.  The wire encoding (u32 view version, length-prefixed bytes)
+// is unchanged.
+//
 // See examples/ for three applications built on this API.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "common/runtime.hpp"
 #include "gmp/node.hpp"
@@ -32,7 +41,9 @@ namespace gmpx::group {
 class ProcessGroup final : public gmp::ViewListener {
  public:
   using ViewHandler = std::function<void(const gmp::View&)>;
-  using MessageHandler = std::function<void(ProcessId from, const std::string& payload)>;
+  /// `payload` is valid only for the duration of the call; copy what you
+  /// keep.
+  using MessageHandler = std::function<void(ProcessId from, std::string_view payload)>;
 
   /// Binds to `node` (borrowed; must outlive the group handle) and installs
   /// itself as the node's view listener.
@@ -45,10 +56,10 @@ class ProcessGroup final : public gmp::ViewListener {
   void on_message(MessageHandler h) { message_handler_ = std::move(h); }
 
   /// Send `payload` to one member.
-  void send(Context& ctx, ProcessId to, const std::string& payload);
+  void send(Context& ctx, ProcessId to, std::string_view payload);
 
   /// Send `payload` to every current member except self.
-  void broadcast(Context& ctx, const std::string& payload);
+  void broadcast(Context& ctx, std::string_view payload);
 
   /// Current membership view.
   const gmp::View& view() const { return node_->view(); }
@@ -72,8 +83,9 @@ class ProcessGroup final : public gmp::ViewListener {
   gmp::GmpNode* node_;
   ViewHandler view_handler_;
   MessageHandler message_handler_;
-  /// Payloads from views we have not installed yet, per sender.
-  std::deque<std::tuple<ProcessId, ViewVersion, std::string>> held_;
+  /// Payloads from views we have not installed yet, per sender (owned
+  /// copies: the packet buffers they arrived in are recycled).
+  std::vector<std::tuple<ProcessId, ViewVersion, std::string>> held_;
 };
 
 }  // namespace gmpx::group

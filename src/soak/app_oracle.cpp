@@ -1,10 +1,10 @@
 #include "soak/app_oracle.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
+
+#include "common/flat_set.hpp"
 
 namespace gmpx::soak {
 
@@ -59,6 +59,10 @@ bool calm(const std::vector<std::pair<Tick, Tick>>& busy, Tick from, Tick to) {
   return true;
 }
 
+/// Two 32-bit fields packed into one index key; ascending packed order is
+/// the (hi, lo) lexicographic order.
+uint64_t pack(uint32_t hi, uint32_t lo) { return (static_cast<uint64_t>(hi) << 32) | lo; }
+
 }  // namespace
 
 trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Recorder& rec,
@@ -68,7 +72,9 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
                              const AppCheckOptions& opts) {
   trace::CheckResult r;
   const std::vector<AppEvent>& ev = app_trace.events();
-  const std::set<ProcessId> surv(survivors.begin(), survivors.end());
+  const auto survivor = [&survivors](ProcessId p) {
+    return std::binary_search(survivors.begin(), survivors.end(), p);
+  };
 
   // ---- APP-R1: single writer per view, ids committed exactly once ----
   struct Commit {
@@ -76,8 +82,8 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
     Tick tick;
     uint32_t key;
   };
-  std::map<uint64_t, Commit> commits;               // wid -> first commit
-  std::map<ViewVersion, ProcessId> view_committer;  // view -> sole writer
+  FlatMap<uint64_t, Commit> commits;               // wid -> first commit
+  FlatMap<ViewVersion, ProcessId> view_committer;  // view -> sole writer
   for (const AppEvent& e : ev) {
     if (e.kind != AppEventKind::kWriteCommit) continue;
     auto [it, fresh] = commits.try_emplace(e.id, Commit{e.actor, e.tick, e.key});
@@ -100,7 +106,7 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
   }
 
   // ---- APP-R2: no phantom applies/reads, monotone per-replica applies ----
-  std::map<std::pair<ProcessId, uint32_t>, uint64_t> last_applied;
+  FlatMap<uint64_t, uint64_t> last_applied;  // pack(actor, key) -> newest wid
   for (const AppEvent& e : ev) {
     if (e.kind == AppEventKind::kApply) {
       auto it = commits.find(e.id);
@@ -109,7 +115,7 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
                                id_str(e.id) + " for key " + std::to_string(e.key));
         continue;
       }
-      uint64_t& last = last_applied[{e.actor, e.key}];
+      uint64_t& last = last_applied[pack(e.actor, e.key)];
       if (e.id <= last) {
         r.violations.push_back("APP-R2: p" + std::to_string(e.actor) +
                                " applied non-monotone write " + id_str(e.id) + " after " +
@@ -131,38 +137,50 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
     const std::vector<std::pair<Tick, Tick>> busy = busy_spans(schedule);
     // Install tick of (process, view version); initial members hold the
     // commonly-known view 0 from tick 0 (never recorded as an install).
-    std::map<std::pair<ProcessId, ViewVersion>, Tick> installs;
+    FlatMap<uint64_t, Tick> installs;  // pack(actor, version) -> first install
     rec.for_each_event([&](const trace::Event& me) {
       if (me.kind == trace::EventKind::kInstall) {
-        installs.try_emplace({me.actor, me.version}, me.tick);
+        installs.try_emplace(pack(me.actor, me.version), me.tick);
       }
     });
-    const std::set<ProcessId> initial(rec.initial_membership().begin(),
-                                      rec.initial_membership().end());
-    // Commits bucketed per (key, view) for the expected-visibility scan.
-    std::map<std::pair<uint32_t, ViewVersion>, std::vector<std::pair<Tick, uint64_t>>>
-        by_key_view;
+    const std::vector<ProcessId>& initial = rec.initial_membership();
+    // Commits bucketed per (key, view) for the expected-visibility scan:
+    // sorted by (pack(key, view), wid), so a bucket is one contiguous run.
+    struct Bucketed {
+      uint64_t key_view;
+      uint64_t wid;
+      Tick tick;
+    };
+    std::vector<Bucketed> by_key_view;
+    by_key_view.reserve(commits.size());
     for (const auto& [wid, c] : commits) {
-      by_key_view[{c.key, app::app_id_view(wid)}].emplace_back(c.tick, wid);
+      by_key_view.push_back({pack(c.key, app::app_id_view(wid)), wid, c.tick});
     }
+    std::sort(by_key_view.begin(), by_key_view.end(), [](const Bucketed& a, const Bucketed& b) {
+      return a.key_view != b.key_view ? a.key_view < b.key_view : a.wid < b.wid;
+    });
     for (const AppEvent& e : ev) {
       if (e.kind != AppEventKind::kRead) continue;
-      auto bucket = by_key_view.find({e.key, e.view});
-      if (bucket == by_key_view.end()) continue;
+      const uint64_t key_view = pack(e.key, e.view);
+      auto bucket = std::lower_bound(
+          by_key_view.begin(), by_key_view.end(), key_view,
+          [](const Bucketed& b, uint64_t kv) { return b.key_view < kv; });
+      if (bucket == by_key_view.end() || bucket->key_view != key_view) continue;
       Tick install_tick = 0;
-      if (auto it = installs.find({e.actor, e.view}); it != installs.end()) {
+      if (auto it = installs.find(pack(e.actor, e.view)); it != installs.end()) {
         install_tick = it->second;
-      } else if (!(e.view == 0 && initial.count(e.actor))) {
+      } else if (!(e.view == 0 &&
+                   std::find(initial.begin(), initial.end(), e.actor) != initial.end())) {
         continue;  // reader's install of this view is unknown: don't judge
       }
       uint64_t expected = 0;
       Tick expected_commit = 0;
-      for (const auto& [wt, wid] : bucket->second) {
-        if (std::max(wt, install_tick) + opts.staleness_bound > e.tick) continue;
-        if (!calm(busy, wt, e.tick)) continue;
-        if (wid > expected) {
-          expected = wid;
-          expected_commit = wt;
+      for (auto c = bucket; c != by_key_view.end() && c->key_view == key_view; ++c) {
+        if (std::max(c->tick, install_tick) + opts.staleness_bound > e.tick) continue;
+        if (!calm(busy, c->tick, e.tick)) continue;
+        if (c->wid > expected) {
+          expected = c->wid;
+          expected_commit = c->tick;
         }
       }
       if (expected != 0 && e.id < expected) {
@@ -178,7 +196,7 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
 
   // ---- APP-Q2: single claim per view (and unique submit ids) ----
   {
-    std::set<uint64_t> submitted_ids;
+    FlatSet<uint64_t> submitted_ids;
     for (const AppEvent& e : ev) {
       if (e.kind != AppEventKind::kSubmit) continue;
       if (!submitted_ids.insert(e.id).second) {
@@ -190,7 +208,7 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
       ProcessId worker = kNilId;
       bool live = false;
     };
-    std::map<uint64_t, Claim> claims;
+    FlatMap<uint64_t, Claim> claims;
     for (const AppEvent& e : ev) {
       switch (e.kind) {
         case AppEventKind::kAssign: {
@@ -221,24 +239,34 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
   // ---- Terminal clauses (gated like GMP-5) ----
   if (opts.check_terminal) {
     // APP-Q1: submitted items known to a survivor must have completed.
-    std::set<uint64_t> done;
-    std::set<uint64_t> survivor_knows;
-    std::map<uint64_t, ProcessId> submit_by;
+    struct Item {
+      bool submitted = false;
+      ProcessId submitted_by = kNilId;  ///< first submitter
+      bool known = false;               ///< a survivor recorded it
+      bool done = false;
+    };
+    FlatMap<uint64_t, Item> items;
     for (const AppEvent& e : ev) {
       const bool queue_kind =
           e.kind == AppEventKind::kSubmit || e.kind == AppEventKind::kMirror ||
           e.kind == AppEventKind::kAssign || e.kind == AppEventKind::kExec ||
           e.kind == AppEventKind::kTaskDone;
       if (!queue_kind) continue;
-      if (e.kind == AppEventKind::kSubmit) submit_by.try_emplace(e.id, e.actor);
-      if (e.kind == AppEventKind::kTaskDone) done.insert(e.id);
-      if (surv.count(e.actor)) survivor_knows.insert(e.id);
+      Item& item = items[e.id];
+      if (e.kind == AppEventKind::kSubmit && !item.submitted) {
+        item.submitted = true;
+        item.submitted_by = e.actor;
+      }
+      if (e.kind == AppEventKind::kTaskDone) item.done = true;
+      if (survivor(e.actor)) item.known = true;
     }
-    for (const auto& [tid, by] : submit_by) {
-      if (!survivor_knows.count(tid)) continue;  // died with its holders: resubmit territory
-      if (!done.count(tid)) {
+    for (const auto& [tid, item] : items) {
+      if (!item.submitted) continue;
+      if (!item.known) continue;  // died with its holders: resubmit territory
+      if (!item.done) {
         r.violations.push_back("APP-Q1: work item " + id_str(tid) + " (submitted by p" +
-                               std::to_string(by) + ") known to a survivor but never done");
+                               std::to_string(item.submitted_by) +
+                               ") known to a survivor but never done");
       }
     }
     for (const ReplicaState& f : finals) {

@@ -61,7 +61,8 @@ struct AppCheckOptions {
 
 /// Judge one soak run.  `schedule` supplies the fault spans APP-R4 must
 /// treat as non-calm; `survivors` are the live admitted members of the
-/// frontier view; `finals` their captured application states.
+/// frontier view, in ascending id order; `finals` their captured
+/// application states.
 trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Recorder& rec,
                              const scenario::Schedule& schedule,
                              const std::vector<ProcessId>& survivors,

@@ -7,6 +7,8 @@ namespace gmpx::soak {
 void SoakHost::attach(harness::Cluster& c) {
   cluster_ = &c;
   for (ProcessId id : c.ids()) make_node(id);
+  ids_.assign(c.ids().begin(), c.ids().end());
+  std::sort(ids_.begin(), ids_.end());
   for (size_t i = 0; i < w_->ops.size(); ++i) {
     c.world().at(w_->ops[i].at, [this, i] { run_op(w_->ops[i]); });
   }
@@ -39,25 +41,26 @@ bool SoakHost::on_quiesced(harness::Cluster& c, int pass) {
   }
   if (pass >= opts_->sync_pass_cap) return false;  // APP-R3/Q1 will say why
   ++sync_passes_;
-  for (ProcessId id : sorted_ids()) {
+  for (ProcessId id : ids_) {
     if (!serving(id)) continue;
-    PerNode& pn = nodes_.at(id);
-    pn.registry->sync_round();
-    pn.queue->sync_round();
+    PerNode& pn = *nodes_[id];
+    pn.registry.sync_round();
+    pn.queue.sync_round();
   }
   return true;
 }
 
 std::vector<ProcessId> SoakHost::survivors() const {
   ViewVersion frontier = 0;
-  for (ProcessId id : sorted_ids()) {
-    if (serving(id)) {
-      frontier = std::max(frontier, cluster_->node(id).view().version());
-    }
-  }
   std::vector<ProcessId> out;
-  for (ProcessId id : sorted_ids()) {
-    if (serving(id) && cluster_->node(id).view().version() == frontier) out.push_back(id);
+  for (ProcessId id : ids_) {
+    if (!serving(id)) continue;
+    const ViewVersion v = cluster_->node(id).view().version();
+    if (v > frontier) {
+      frontier = v;
+      out.clear();
+    }
+    if (v == frontier) out.push_back(id);
   }
   return out;
 }
@@ -65,41 +68,33 @@ std::vector<ProcessId> SoakHost::survivors() const {
 std::vector<ReplicaState> SoakHost::final_states() const {
   std::vector<ReplicaState> out;
   for (ProcessId id : survivors()) {
-    const PerNode& pn = nodes_.at(id);
+    const PerNode& pn = *nodes_[id];
     ReplicaState st;
     st.id = id;
-    st.registry.assign(pn.registry->data().begin(), pn.registry->data().end());
-    for (const auto& [tid, t] : pn.queue->tasks()) st.queue.emplace_back(tid, t.state);
+    st.registry.assign(pn.registry.data().begin(), pn.registry.data().end());
+    for (const auto& [tid, t] : pn.queue.tasks()) st.queue.emplace_back(tid, t.state);
     out.push_back(std::move(st));
   }
   return out;
 }
 
 void SoakHost::make_node(ProcessId id) {
-  PerNode& pn = nodes_[id];
-  pn.group = std::make_unique<group::ProcessGroup>(&cluster_->node(id));
+  if (id >= nodes_.size()) nodes_.resize(id + 1);
   auto ctx = [this, id]() { return cluster_->world().context_of(id); };
-  pn.registry = std::make_unique<app::Registry>(pn.group.get(), &trace_, ctx);
-  pn.queue = std::make_unique<app::WorkQueue>(pn.group.get(), &trace_, ctx);
-  pn.group->on_message([this, id](ProcessId from, const std::string& m) {
-    PerNode& p = nodes_.at(id);
-    if (!p.registry->handle(from, m)) p.queue->handle(from, m);
+  nodes_[id] = std::make_unique<PerNode>(&cluster_->node(id), &trace_, ctx);
+  PerNode& pn = *nodes_[id];
+  pn.group.on_message([&pn](ProcessId from, std::string_view m) {
+    if (!pn.registry.handle(from, m)) pn.queue.handle(from, m);
   });
-  pn.group->on_view_change([this, id](const gmp::View&) { nodes_.at(id).queue->on_view(); });
+  pn.group.on_view_change([&pn](const gmp::View&) { pn.queue.on_view(); });
 }
 
 bool SoakHost::serving(ProcessId id) const {
-  if (!nodes_.count(id)) return false;
+  if (id >= nodes_.size() || !nodes_[id]) return false;
   if (!cluster_->has_node(id)) return false;
   if (!cluster_->world().context_of(id)) return false;  // crashed
   const gmp::GmpNode& n = cluster_->node(id);
   return n.admitted() && !n.has_quit();
-}
-
-std::vector<ProcessId> SoakHost::sorted_ids() const {
-  std::vector<ProcessId> ids(cluster_->ids().begin(), cluster_->ids().end());
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 void SoakHost::run_op(const WorkloadOp& op) {
@@ -110,28 +105,28 @@ void SoakHost::run_op(const WorkloadOp& op) {
       // Primary-routed: clients reach whichever member claims the
       // coordinator role; with none live (failover window) the op is
       // rejected — that is the availability metric's denominator talking.
-      for (ProcessId id : sorted_ids()) {
+      for (ProcessId id : ids_) {
         if (!serving(id)) continue;
-        PerNode& pn = nodes_.at(id);
-        if (!pn.group->is_coordinator()) continue;
-        const bool served = op.kind == OpKind::kWrite ? pn.registry->client_write(op.key)
-                                                      : pn.queue->client_submit();
+        PerNode& pn = *nodes_[id];
+        if (!pn.group.is_coordinator()) continue;
+        const bool served = op.kind == OpKind::kWrite ? pn.registry.client_write(op.key)
+                                                      : pn.queue.client_submit();
         if (served) return;
       }
       ++rejected_;
       return;
     }
     case OpKind::kRead: {
-      std::vector<ProcessId> live;
-      for (ProcessId id : sorted_ids()) {
-        if (serving(id)) live.push_back(id);
+      live_.clear();
+      for (ProcessId id : ids_) {
+        if (serving(id)) live_.push_back(id);
       }
-      if (live.empty()) {
+      if (live_.empty()) {
         ++rejected_;
         return;
       }
-      const ProcessId replica = live[op.pick % live.size()];
-      nodes_.at(replica).registry->client_read(op.client, op.key);
+      const ProcessId replica = live_[op.pick % live_.size()];
+      nodes_[replica]->registry.client_read(op.client, op.key);
       return;
     }
   }
@@ -140,15 +135,15 @@ void SoakHost::run_op(const WorkloadOp& op) {
 bool SoakHost::converged() const {
   const std::vector<ProcessId> s = survivors();
   if (s.empty()) return true;
-  const PerNode& first = nodes_.at(s[0]);
+  const PerNode& first = *nodes_[s[0]];
   for (ProcessId id : s) {
-    const PerNode& pn = nodes_.at(id);
-    if (!pn.queue->all_done()) return false;
-    if (pn.registry->data() != first.registry->data()) return false;
-    if (pn.queue->tasks().size() != first.queue->tasks().size()) return false;
-    auto a = pn.queue->tasks().begin();
-    auto b = first.queue->tasks().begin();
-    for (; a != pn.queue->tasks().end(); ++a, ++b) {
+    const PerNode& pn = *nodes_[id];
+    if (!pn.queue.all_done()) return false;
+    if (pn.registry.data() != first.registry.data()) return false;
+    if (pn.queue.tasks().size() != first.queue.tasks().size()) return false;
+    auto a = pn.queue.tasks().begin();
+    auto b = first.queue.tasks().begin();
+    for (; a != pn.queue.tasks().end(); ++a, ++b) {
       if (a->first != b->first || a->second.state != b->second.state) return false;
     }
   }

@@ -10,7 +10,6 @@
 // here; run_soak() and the mux differ only in who drives the executor.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -54,18 +53,20 @@ class SoakHost {
   bool converged_flag() const { return converged_; }
 
  private:
+  /// One member's apps.  Heap-held, so the group's address (borrowed by
+  /// the apps and by its own handlers) is stable.
   struct PerNode {
-    std::unique_ptr<group::ProcessGroup> group;
-    std::unique_ptr<app::Registry> registry;
-    std::unique_ptr<app::WorkQueue> queue;
+    PerNode(gmp::GmpNode* node, app::AppTrace* trace, const app::Registry::ContextProvider& ctx)
+        : group(node), registry(&group, trace, ctx), queue(&group, trace, ctx) {}
+    group::ProcessGroup group;
+    app::Registry registry;
+    app::WorkQueue queue;
   };
 
   void make_node(ProcessId id);
 
   /// A member that can currently serve client traffic.
   bool serving(ProcessId id) const;
-
-  std::vector<ProcessId> sorted_ids() const;
 
   void run_op(const WorkloadOp& op);
 
@@ -76,7 +77,14 @@ class SoakHost {
   const SoakOptions* opts_;
   harness::Cluster* cluster_ = nullptr;
   app::AppTrace trace_;
-  std::map<ProcessId, PerNode> nodes_;
+  /// Apps per member, indexed by id (ids are small; joiners extend the
+  /// tail).  Never iterated: ids_ fixes every walk's order.
+  std::vector<std::unique_ptr<PerNode>> nodes_;
+  /// The members attach() built apps for, ascending.  Client routing, sync
+  /// rounds and survivors() walk members in this order; a process the
+  /// cluster gains later has no apps, so it never serves and is left out.
+  std::vector<ProcessId> ids_;
+  std::vector<ProcessId> live_;  ///< run_op scratch: replicas serving a read
   uint64_t attempted_ = 0;
   uint64_t rejected_ = 0;
   size_t sync_passes_ = 0;

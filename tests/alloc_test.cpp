@@ -1,5 +1,6 @@
 // Allocation-count regression test: the steady-state fuzz loop must stay
-// (near-)allocation-free, per detector.
+// (near-)allocation-free, per detector, and a pooled soak run must stay
+// under its own per-run ceiling.
 //
 // The loop under test is exactly the sweep's warm path — one pooled
 // harness::Cluster reset per schedule (scenario/sweep.cpp) — measured by
@@ -23,6 +24,8 @@
 #include "harness/cluster.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/generator.hpp"
+#include "soak/runner.hpp"
+#include "soak/workload.hpp"
 
 using namespace gmpx;
 using namespace gmpx::scenario;
@@ -69,6 +72,50 @@ AllocStats measure_warm_loop(fd::DetectorKind detector) {
   return stats;
 }
 
+/// The soak analogue: pooled soak runs (run_soak on one reused cluster,
+/// schedule and workload generated outside the count) across all three
+/// detectors, mixed profile, n=5, default soak options.
+AllocStats measure_soak_warm_loop() {
+  const soak::SoakOptions sopts;
+  harness::Cluster cluster{harness::ClusterOptions{}};
+  AllocStats stats;
+  uint64_t total = 0;
+  uint64_t runs = 0;
+  for (fd::DetectorKind detector :
+       {fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat, fd::DetectorKind::kPhi}) {
+    GeneratorOptions gen;
+    gen.profile = Profile::kMixed;
+    gen.n = 5;
+    ExecOptions exec;
+    exec.fd = detector;
+    if (detector == fd::DetectorKind::kHeartbeat) {
+      gen = tuned_for_heartbeat(gen, exec.heartbeat);
+    } else if (detector == fd::DetectorKind::kPhi) {
+      gen = tuned_for_phi(gen, exec.phi);
+    }
+    gen.horizon = std::max(gen.horizon, sopts.horizon);
+    gen.restart_weight = sopts.restart_weight;
+    for (uint64_t seed = 100; seed < 120; ++seed) {
+      const soak::SoakResult r = soak::run_soak(
+          generate(seed, gen), soak::generate_workload(seed, sopts), exec, sopts, cluster);
+      EXPECT_TRUE(r.ok()) << "warm-up seed " << seed << ": " << r.message();
+    }
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      const Schedule s = generate(seed, gen);
+      const soak::Workload w = soak::generate_workload(seed, sopts);
+      const uint64_t before = thread_alloc_count();
+      const soak::SoakResult r = soak::run_soak(s, w, exec, sopts, cluster);
+      const uint64_t n = thread_alloc_count() - before;
+      EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.message();
+      total += n;
+      ++runs;
+      if (n > stats.max) stats.max = n;
+    }
+  }
+  stats.mean = total / runs;
+  return stats;
+}
+
 }  // namespace
 
 TEST(AllocRegression, OracleWarmLoopStaysUnderCeiling) {
@@ -97,4 +144,17 @@ TEST(AllocRegression, PhiWarmLoopStaysUnderCeiling) {
   // ceiling as the heartbeat axis.
   EXPECT_LE(s.mean, 60u) << "phi warm loop mean allocations regressed";
   EXPECT_LE(s.max, 200u) << "phi warm loop worst-case allocations regressed";
+}
+
+TEST(AllocRegression, SoakWarmLoopStaysUnderCeiling) {
+  AllocStats s = measure_soak_warm_loop();
+  // A soak run builds its apps afresh (one SoakHost per run, nothing pooled
+  // across runs), so this ceiling counts the app layer's per-run setup and
+  // growth: the ProcessGroup/Registry/WorkQueue triples, their sorted-vector
+  // tables and reused payload buffers, the app trace and the oracle's
+  // indexes.  Measured mean ~230, max ~570 per run (std::map tables,
+  // per-message std::string payloads and tree-based oracle indexes cost
+  // ~1950 per run on average).
+  EXPECT_LE(s.mean, 300u) << "soak warm loop mean allocations regressed";
+  EXPECT_LE(s.max, 750u) << "soak warm loop worst-case allocations regressed";
 }

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "group/process_group.hpp"
 #include "harness/cluster.hpp"
 
@@ -67,7 +68,7 @@ TEST(Group, CoordinatorTracksMgr) {
 TEST(Group, UnicastDelivery) {
   Fixture f(3, 1005);
   std::vector<std::pair<ProcessId, std::string>> got;
-  f.groups[2]->on_message([&](ProcessId from, const std::string& m) {
+  f.groups[2]->on_message([&](ProcessId from, std::string_view m) {
     got.emplace_back(from, m);
   });
   f.cluster.start();
@@ -84,7 +85,7 @@ TEST(Group, BroadcastReachesCurrentView) {
   Fixture f(5, 1007);
   std::map<ProcessId, int> counts;
   for (ProcessId p = 0; p < 5; ++p) {
-    f.groups[p]->on_message([&counts, p](ProcessId, const std::string&) { ++counts[p]; });
+    f.groups[p]->on_message([&counts, p](ProcessId, std::string_view) { ++counts[p]; });
   }
   f.cluster.start();
   f.cluster.crash_at(100, 4);
@@ -99,9 +100,9 @@ TEST(Group, BroadcastReachesCurrentView) {
 TEST(Group, FutureViewPayloadIsHeldUntilInstalled) {
   // p0 installs v1 then immediately broadcasts; a slow receiver must not
   // see the payloads before its own v1 install (S3 buffering at app level).
-  // A held payload owns its bytes: the packet buffers that carried it are
-  // recycled and rewritten by the view-change traffic and the later
-  // payloads long before the hold releases, yet the text arrives intact.
+  // A held payload owns its bytes: the packet buffers that carried it go
+  // back to the codec pool, and every pooled buffer is taken and rewritten
+  // before the hold releases, yet the text arrives intact.
   Fixture f(4, 1009);
   const std::vector<std::string> held = {"from-v1", std::string(300, 'x') + "-tail", "third"};
   std::map<ProcessId, ViewVersion> version_at_delivery;
@@ -111,6 +112,16 @@ TEST(Group, FutureViewPayloadIsHeldUntilInstalled) {
       if (from != 0) return;
       if (!version_at_delivery.count(p)) version_at_delivery[p] = f.groups[p]->view().version();
       got[p].emplace_back(m);
+    });
+    // Fires on install, before the held payloads are released.
+    f.groups[p]->on_view_change([](const gmp::View&) {
+      std::vector<std::vector<uint8_t>> taken;
+      for (int i = 0; i < 1024; ++i) {  // the pool's bound: drains it
+        Writer w;
+        for (int b = 0; b < 512; ++b) w.u8(0xEE);
+        taken.push_back(std::move(w).take());
+      }
+      for (std::vector<uint8_t>& buf : taken) recycle_buffer(std::move(buf));
     });
   }
   f.cluster.start();
@@ -147,7 +158,7 @@ TEST(Group, JoinerParticipatesAfterAdmission) {
     groups.push_back(std::make_unique<group::ProcessGroup>(&c.node(p)));
   auto jg = std::make_unique<group::ProcessGroup>(&c.node(100));
   std::string got;
-  groups[1]->on_message([&](ProcessId from, const std::string& m) {
+  groups[1]->on_message([&](ProcessId from, std::string_view m) {
     if (from == 100) got = m;
   });
   c.start();

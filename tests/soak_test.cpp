@@ -386,12 +386,14 @@ TEST(Soak, RegistryTruncatedPayloadsApplyWhatParses) {
   for (const char* m : {"", "x 1 2"}) EXPECT_FALSE(r.handle(0, m)) << m;
   for (const char* m : {"w", "w 5", "w 6 9", "w  8 2", "W 1:5 2", "W 2:7 ", "W 3:4,4:6", "W",
                         "W 9:", "w 99999999999999999999 1", "w 10 -3", "w 11 +4", "w12 3",
-                        "w 13 4x", "W 14:1:15:2"}) {
+                        "w 13 4x", "W 14:1:15:2", "w -99999999999999999999 7", "w\t16 5",
+                        "w 17\t6", "w 18 --1", "w 19 +-1", "W 20:1\n21:2"}) {
     EXPECT_TRUE(r.handle(0, m)) << m;
   }
   const std::vector<std::pair<uint32_t, uint64_t>> expected = {
       {1, 5},  {2, 7},  {3, 4},  {4, 6},  {6, 9},  {8, 2},  {10, 18446744073709551613u},
-      {11, 4}, {12, 3}, {13, 4}, {14, 1}, {15, 2}, {4294967295u, 1},
+      {11, 4}, {12, 3}, {13, 4}, {14, 1}, {15, 2}, {16, 5},  {17, 6},
+      {20, 1}, {21, 2}, {4294967295u, 7},
   };
   EXPECT_EQ(registry_rows(r.data()), expected);
 }
@@ -401,8 +403,8 @@ TEST(Soak, WorkQueueSyncRebuildsTableOnFreshReplica) {
   app::AppTrace trace;
   app::WorkQueue src(f.groups[0].get(), &trace, f.ctx(0));
   app::WorkQueue worker(f.groups[2].get(), &trace, f.ctx(2));
-  f.groups[0]->on_message([&](ProcessId from, const auto& m) { src.handle(from, m); });
-  f.groups[2]->on_message([&](ProcessId from, const auto& m) { worker.handle(from, m); });
+  f.groups[0]->on_message([&](ProcessId from, std::string_view m) { src.handle(from, m); });
+  f.groups[2]->on_message([&](ProcessId from, std::string_view m) { worker.handle(from, m); });
   f.cluster.start();
   f.cluster.world().at(3000, [&] {
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(src.client_submit());
