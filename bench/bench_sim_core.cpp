@@ -232,44 +232,12 @@ static void BM_Codec_HeartbeatPing(benchmark::State& state) {
 }
 BENCHMARK(BM_Codec_HeartbeatPing);
 
-/// Burst dataplane A/B: a dense same-tick fan (every ordered pair of 16
-/// processes racing 16-hop ping-pong chains through a 1..4 delay window)
-/// drained through the destination-sorted burst buffer (Arg(1)) vs the
-/// legacy one-event-per-heap-pop step loop (Arg(0)).  Same events, same
-/// (tick, seq) order — the delta is pure dispatch-loop overhead plus the
-/// locality the per-destination sort buys.
-static void BM_Burst_DrainSorted(benchmark::State& state) {
-  const bool burst = state.range(0) != 0;
-  const size_t n = 16;
-  uint64_t events = 0;
-  for (auto _ : state) {
-    SimWorld w(7, DelayModel{1, 4});
-    w.set_burst_mode(burst);
-    std::vector<PingPong> actors(n);
-    for (size_t i = 0; i < n; ++i) w.add_actor(static_cast<ProcessId>(i), &actors[i]);
-    w.start();
-    w.at(1, [&] {
-      for (size_t i = 0; i < n; ++i)
-        for (size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          w.context_of(static_cast<ProcessId>(i))
-              ->send(Packet{static_cast<ProcessId>(i), static_cast<ProcessId>(j), 9, {16}});
-        }
-    });
-    w.run_until_idle();
-    for (const PingPong& a : actors) events += a.hops;
-  }
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Burst_DrainSorted)->Arg(0)->Arg(1);
-
 /// Encode-once fan-out A/B: a Commit broadcast to a 16-member view encoded
-/// field-by-field per destination (Arg(0), the pre-burst behaviour) vs
-/// encoded once and shipped as pooled memcpy copies (Arg(1), what
-/// gmp::fan_out does).  The payload is destination-independent, so the
-/// copies are bit-identical to the re-encodes; `packets/s` prices the wire
-/// work the dataplane saves per broadcast.
+/// field-by-field per destination (Arg(0)) vs encoded once and shipped as
+/// pooled memcpy copies (Arg(1), what gmp::fan_out does).  The payload is
+/// destination-independent, so the copies are bit-identical to the
+/// re-encodes; `packets/s` prices the wire work fan_out saves per
+/// broadcast.
 static void BM_Burst_DecodeOnce(benchmark::State& state) {
   const bool once = state.range(0) != 0;
   gmp::Commit c;

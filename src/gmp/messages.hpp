@@ -472,7 +472,7 @@ struct ReconfigCommitView {
 };
 
 // ---------------------------------------------------------------------------
-// Encode-once fan-out (burst dataplane).
+// Encode-once fan-out.
 // ---------------------------------------------------------------------------
 
 /// Broadcast `msg` to every id in `members` that `keep` accepts, in member

@@ -45,10 +45,6 @@ struct ClusterOptions {
   size_t join_max_attempts = 0;
   /// Fault injection for minimizer tests (see gmp::Config).
   bool bug_skip_faulty_record = false;
-  /// Burst dataplane (sim::SimWorld::set_burst_mode): drain same-tick event
-  /// batches in the skip-free run loops.  Off replays per-event; traces are
-  /// byte-identical either way (the determinism suite pins it).
-  bool burst = true;
 };
 
 /// A simulated GMP deployment.
@@ -170,9 +166,6 @@ class Cluster {
     }
     auto [bg_lo, bg_hi] = detector_->background_kinds();
     world_.set_background_kinds(bg_lo, bg_hi);
-    // Burst mode survives SimWorld::reset (engine config, not run state),
-    // but re-assert it here so a pooled reset honours a changed option.
-    world_.set_burst_mode(opts_.burst);
     // Virtual-time fast-forward wiring: the detector owns the "no detection
     // can fire before tick T" question and the post-skip reconciliation.
     // The oracle certifies "never"; the timeout detectors walk their

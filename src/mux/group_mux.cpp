@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/tiled.hpp"
 #include "harness/cluster.hpp"
-#include "soak/availability.hpp"
 #include "soak/host.hpp"
 
 namespace gmpx::mux {
@@ -142,22 +141,12 @@ class MuxEngine {
     GroupSlot& slot = *slots_[idx];
     slot.spec = &spec;
 
-    // Per-group fault schedule: the spec's profile over the shared knobs,
-    // stretched to the session horizon with restart churn mixed in (the
-    // single-group soak sweep's exact recipe), storm-tuned per detector.
-    scenario::GeneratorOptions gen = opts_.gen;
-    gen.profile = spec.profile;
-    if (opts_.with_sessions) {
-      gen.horizon = std::max(gen.horizon, opts_.sopts.horizon);
-      gen.restart_weight = opts_.sopts.restart_weight;
-    }
+    // Per-group fault schedule: the single-group sweep's unit recipe over
+    // the spec's profile, stretched to the session horizon when sessions run.
     slot.exec = opts_.exec;
-    if (slot.exec.fd == fd::DetectorKind::kHeartbeat) {
-      gen = scenario::tuned_for_heartbeat(gen, slot.exec.heartbeat);
-    } else if (slot.exec.fd == fd::DetectorKind::kPhi) {
-      gen = scenario::tuned_for_phi(gen, slot.exec.phi);
-    }
-    slot.sched = scenario::generate(spec.seed, gen);
+    slot.sched = scenario::generate(
+        spec.seed, scenario::unit_generator(opts_.gen, spec.profile, slot.exec,
+                                            opts_.with_sessions ? &opts_.sopts : nullptr));
 
     if (opts_.with_sessions) {
       slot.workload = soak::generate_workload(spec.seed, opts_.sopts);
@@ -242,19 +231,13 @@ class MuxEngine {
       res_.ops_attempted += host.attempted();
       res_.ops_rejected += host.rejected();
       res_.sync_passes += host.sync_passes();
-      availability = soak::availability_from_trace(slot.cluster.recorder(), r.end_tick,
-                                                   slot.exec.require_majority);
+      const soak::AppVerdict v = host.judge(slot.sched, r, slot.exec.require_majority);
+      availability = v.availability;
       res_.availability_sum += availability;
       ++res_.availability_runs;
-      soak::AppCheckOptions aopts;
-      aopts.staleness_bound = opts_.sopts.staleness_bound;
-      aopts.check_terminal = r.quiesced && r.liveness_checked;
-      const trace::CheckResult ac =
-          soak::check_app(host.trace(), slot.cluster.recorder(), slot.sched, host.survivors(),
-                          host.final_states(), aopts);
-      if (!ac.ok()) {
+      if (!v.check.ok()) {
         ok = false;
-        app_msg = ac.message();
+        app_msg = v.check.message();
       }
     }
 

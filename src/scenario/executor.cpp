@@ -31,7 +31,6 @@ harness::ClusterOptions cluster_options_for(const Schedule& s, const ExecOptions
   co.phi = opts.phi;
   co.join_max_attempts = opts.join_max_attempts;
   co.bug_skip_faulty_record = opts.inject_bug_unrecorded_suspicion;
-  co.burst = opts.burst;
   return co;
 }
 
@@ -302,8 +301,6 @@ struct StagedRun::Impl {
     r.fd_messages = world.meter().detector_total();
     r.skipped_ticks = world.skipped_ticks();
     r.skipped_events = world.skipped_events();
-    r.bursts = world.bursts();
-    r.burst_events = world.burst_events();
     for (ProcessId j : joiners) {
       if (cluster.has_node(j) && cluster.node(j).join_aborted()) ++r.aborted_joins;
     }

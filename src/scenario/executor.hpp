@@ -56,11 +56,6 @@ struct ExecOptions {
   /// Fault injection: suppress faulty_p(q) trace records so every removal
   /// trips GMP-1 (exercises the minimizer on a guaranteed "bug").
   bool inject_bug_unrecorded_suspicion = false;
-  /// Burst dataplane (sim::SimWorld::set_burst_mode).  On by default; off
-  /// replays through the legacy per-event step loop.  Byte-identical either
-  /// way — the toggle exists so determinism_test and the CI A/B diff can
-  /// pin that equivalence (gmpx_fuzz --no-burst).
-  bool burst = true;
   /// Application layering hook (soak mode): called after the fault schedule
   /// has been scripted onto the cluster — every node, joiners included,
   /// already exists — and before cluster.start().  The soak runner uses it
@@ -92,12 +87,8 @@ struct ExecResult {
   /// traces the engine must leave byte-identical).
   uint64_t skipped_ticks = 0;
   uint64_t skipped_events = 0;
-  /// Burst-dataplane telemetry: same-tick batches drained and events
-  /// dispatched through them.  0 with ExecOptions::burst off — and 0 on the
-  /// heartbeat/phi axes even with it on: their quiescence loop
-  /// (run_until_protocol_idle) steps per event by contract, because a skip
-  /// firing between same-tick events may elide trailing background events
-  /// a cross-boundary burst would have dispatched.
+  /// Always 0: the simulator has one per-event dispatch loop and no batch
+  /// telemetry.  Kept only because perfbench still reads them.
   uint64_t bursts = 0;
   uint64_t burst_events = 0;
   /// Filled when the run exhausted its event budget: which events/timers

@@ -5,6 +5,8 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "scenario/executor.hpp"
+#include "soak/workload.hpp"
 
 namespace gmpx::scenario {
 
@@ -276,6 +278,21 @@ GeneratorOptions tuned_for_phi(GeneratorOptions opts, const fd::PhiOptions& phi)
   opts.storm_ceiling = std::max<Tick>(opts.storm_ceiling, 2 * phi.bootstrap_timeout);
   opts.storm_duration_cap = std::max<Tick>(opts.storm_duration_cap, 3 * phi.bootstrap_timeout);
   return opts;
+}
+
+GeneratorOptions unit_generator(GeneratorOptions base, Profile profile, const ExecOptions& exec,
+                                const soak::SoakOptions* soak) {
+  base.profile = profile;
+  if (soak) {
+    base.horizon = std::max(base.horizon, soak->horizon);
+    base.restart_weight = soak->restart_weight;
+  }
+  // Timeout-detector runs draw from a storm distribution hot enough to
+  // cross the suspicion threshold — otherwise the detector axis would
+  // never exercise false detection, the behaviour it exists to fuzz.
+  if (exec.fd == fd::DetectorKind::kHeartbeat) return tuned_for_heartbeat(base, exec.heartbeat);
+  if (exec.fd == fd::DetectorKind::kPhi) return tuned_for_phi(base, exec.phi);
+  return base;
 }
 
 }  // namespace gmpx::scenario

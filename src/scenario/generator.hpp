@@ -21,6 +21,10 @@
 #include "fd/phi.hpp"
 #include "scenario/schedule.hpp"
 
+namespace gmpx::soak {
+struct SoakOptions;
+}
+
 namespace gmpx::scenario {
 
 /// Adversary personality: the fault mix the generator draws from.
@@ -87,5 +91,15 @@ GeneratorOptions tuned_for_heartbeat(GeneratorOptions opts, const fd::HeartbeatO
 /// storm must outgrow the *learned* distribution — so the storm knobs are
 /// raised against the bootstrap threshold just like the fixed-timeout case.
 GeneratorOptions tuned_for_phi(GeneratorOptions opts, const fd::PhiOptions& phi);
+
+struct ExecOptions;
+
+/// The generator options of one run unit — the recipe the sweep and the
+/// group multiplexer share: `base` with `profile`, stretched over the soak
+/// horizon with restart churn mixed in when `soak` is given (a crashed
+/// member reborn as a fresh incarnation re-joining through normal
+/// admission), and storm-tuned for `exec.fd` when it is a timeout detector.
+GeneratorOptions unit_generator(GeneratorOptions base, Profile profile, const ExecOptions& exec,
+                                const soak::SoakOptions* soak);
 
 }  // namespace gmpx::scenario

@@ -227,6 +227,30 @@ SweepResult run_sweep(const SweepOptions& opts) {
   if (jobs > 1) rings = std::make_unique<SpscRing[]>(jobs);
 
   std::atomic<size_t> next{0};
+  // Every branch stamps its run the same way right after the work returns:
+  // wall-clock and allocation telemetry (read first, so the stamping itself
+  // is not charged), then the run's identity.
+  using Clock = std::chrono::steady_clock;
+  auto stamp = [&opts](SweepRun& run, const Item& item, uint64_t allocs_before,
+                       Clock::time_point t0) {
+    const auto t1 = Clock::now();
+    run.allocs = opts.alloc_probe ? opts.alloc_probe() - allocs_before : 0;
+    run.exec_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    run.profile = item.profile;
+    run.detector = item.detector;
+    run.seed = item.seed;
+  };
+  // The protocol-level fields a plain run and a soak run share.
+  auto copy_exec = [](SweepRun& run, const ExecResult& r) {
+    run.end_tick = r.end_tick;
+    run.messages = r.messages;
+    run.fd_messages = r.fd_messages;
+    run.trace_hash = r.trace_hash;
+    run.skipped_ticks = r.skipped_ticks;
+    run.skipped_events = r.skipped_events;
+    run.aborted_joins = r.aborted_joins;
+  };
   auto worker = [&](SpscRing* ring) {
     // One pooled cluster per worker thread, reset per run: the steady-state
     // sweep loop reuses every slab/node/monitor instead of rebuilding a
@@ -237,6 +261,7 @@ SweepResult run_sweep(const SweepOptions& opts) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= items.size()) return;
       const Item& item = items[i];
+      SweepRun& run = result.run_log[i];
       if (item.profile == Profile::kGroupMux) {
         // One grid item is one whole mux plan, run to completion on this
         // worker: groups never interact, so the mux result is a pure
@@ -248,16 +273,9 @@ SweepResult run_sweep(const SweepOptions& opts) {
         m.exec.fd = item.detector;
         if (opts.soak) m.sopts = opts.soak_opts;
         const uint64_t allocs_before = opts.alloc_probe ? opts.alloc_probe() : 0;
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = Clock::now();
         const mux::MuxResult mres = mux::run_mux(item.seed, m);
-        const auto t1 = std::chrono::steady_clock::now();
-        SweepRun& run = result.run_log[i];
-        run.allocs = opts.alloc_probe ? opts.alloc_probe() - allocs_before : 0;
-        run.exec_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-        run.profile = item.profile;
-        run.detector = item.detector;
-        run.seed = item.seed;
+        stamp(run, item, allocs_before, t0);
         run.ok = mres.ok();
         // Summed per-group end ticks, not the plan horizon: this feeds the
         // --stats skip-ratio denominator, which compares fast-forwarded
@@ -286,53 +304,22 @@ SweepResult run_sweep(const SweepOptions& opts) {
         }
         continue;
       }
-      GeneratorOptions gen = opts.gen;
-      gen.profile = item.profile;
       ExecOptions exec = opts.exec;
       exec.fd = item.detector;
-      // Timeout-detector runs draw from a storm distribution hot enough to
-      // cross the suspicion threshold — otherwise the detector axis would
-      // never exercise false detection, the behaviour it exists to fuzz.
-      if (item.detector == fd::DetectorKind::kHeartbeat) {
-        gen = tuned_for_heartbeat(gen, exec.heartbeat);
-      } else if (item.detector == fd::DetectorKind::kPhi) {
-        gen = tuned_for_phi(gen, exec.phi);
-      }
-      if (opts.soak) {
-        // Soak runs stretch the fault schedule over the workload horizon and
-        // mix restart churn into the generator (a crashed member reborn as a
-        // fresh incarnation re-joining through normal admission).
-        gen.horizon = std::max(gen.horizon, opts.soak_opts.horizon);
-        gen.restart_weight = opts.soak_opts.restart_weight;
-      }
-      Schedule sched = generate(item.seed, gen);
+      const soak::SoakOptions* stretch = opts.soak ? &opts.soak_opts : nullptr;
+      Schedule sched = generate(item.seed, unit_generator(opts.gen, item.profile, exec, stretch));
       // First run on this worker: build the pooled cluster *before* the
       // telemetry sampling, so --stats never charges one-time construction
       // to a run's allocs=/exec= figures.
       if (!pooled) pooled.emplace(harness::ClusterOptions{});
       const uint64_t allocs_before = opts.alloc_probe ? opts.alloc_probe() : 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      SweepRun& run = result.run_log[i];
+      const auto t0 = Clock::now();
       if (opts.soak) {
         soak::Workload w = soak::generate_workload(item.seed, opts.soak_opts);
         soak::SoakResult sres = soak::run_soak(sched, w, exec, opts.soak_opts, *pooled);
-        const auto t1 = std::chrono::steady_clock::now();
-        run.allocs = opts.alloc_probe ? opts.alloc_probe() - allocs_before : 0;
-        run.exec_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-        run.profile = item.profile;
-        run.detector = item.detector;
-        run.seed = item.seed;
+        stamp(run, item, allocs_before, t0);
         run.ok = sres.ok();
-        run.end_tick = sres.exec.end_tick;
-        run.messages = sres.exec.messages;
-        run.fd_messages = sres.exec.fd_messages;
-        run.trace_hash = sres.exec.trace_hash;
-        run.skipped_ticks = sres.exec.skipped_ticks;
-        run.skipped_events = sres.exec.skipped_events;
-        run.bursts = sres.exec.bursts;
-        run.burst_events = sres.exec.burst_events;
-        run.aborted_joins = sres.exec.aborted_joins;
+        copy_exec(run, sres.exec);
         run.availability = sres.availability;
         run.ops_attempted = sres.ops_attempted;
         run.ops_rejected = sres.ops_rejected;
@@ -340,23 +327,9 @@ SweepResult run_sweep(const SweepOptions& opts) {
         render_soak(run, sched, w, sres, opts, exec);
       } else {
         ExecResult res = execute(sched, exec, *pooled);
-        const auto t1 = std::chrono::steady_clock::now();
-        run.allocs = opts.alloc_probe ? opts.alloc_probe() - allocs_before : 0;
-        run.exec_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-        run.profile = item.profile;
-        run.detector = item.detector;
-        run.seed = item.seed;
+        stamp(run, item, allocs_before, t0);
         run.ok = res.ok();
-        run.end_tick = res.end_tick;
-        run.messages = res.messages;
-        run.fd_messages = res.fd_messages;
-        run.trace_hash = res.trace_hash;
-        run.skipped_ticks = res.skipped_ticks;
-        run.skipped_events = res.skipped_events;
-        run.bursts = res.bursts;
-        run.burst_events = res.burst_events;
-        run.aborted_joins = res.aborted_joins;
+        copy_exec(run, res);
         render(run, sched, res, opts, exec);
       }
       if (ring) {

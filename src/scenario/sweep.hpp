@@ -40,8 +40,6 @@ struct SweepRun {
   uint64_t trace_hash = 0;       ///< ExecResult::trace_hash of the run
   uint64_t skipped_ticks = 0;    ///< virtual-time ticks fast-forwarded over
   uint64_t skipped_events = 0;   ///< background events elided by skips
-  uint64_t bursts = 0;           ///< same-tick batches the dataplane drained
-  uint64_t burst_events = 0;     ///< events dispatched through those batches
   size_t aborted_joins = 0;      ///< orphaned joiners that gave up
   // Budgeting telemetry (gmpx_fuzz --stats).  NOT deterministic across
   // --jobs values (allocations depend on how warm the worker's pooled

@@ -120,8 +120,6 @@ void SimWorld::reset(uint64_t seed, DelayModel delays) {
   skipped_ticks_ = 0;
   skipped_events_ = 0;
   skips_ = 0;
-  bursts_ = 0;
-  burst_events_ = 0;  // burst_mode_ survives: engine config, not run state
   fg_pending_ = 0;
   quiesce_dirty_ = false;
   delays_ = delays;
@@ -697,99 +695,9 @@ bool SimWorld::step() {
   return true;
 }
 
-uint64_t SimWorld::drain_burst(uint64_t budget) {
-  // Pop the whole front tick (capped by the caller's remaining event
-  // budget, so the stopping point matches per-event stepping exactly).
-  // Repeated pop_heap emits the batch in ascending seq order — the exact
-  // order consecutive step() calls would dispatch it in.
-  const Tick t = queue_.front().time;
-  assert(t >= now_ && "time went backwards");
-  now_ = t;
-  std::pop_heap(queue_.begin(), queue_.end(), EventCmp{});
-  const Event first = queue_.back();
-  queue_.pop_back();
-  // Singleton fast path: most ticks carry exactly one event, and buffering
-  // a batch of one would only add copies on the hottest line in the sim.
-  if (budget == 1 || queue_.empty() || queue_.front().time != t) {
-    dispatch(first);
-    ++bursts_;
-    ++burst_events_;
-    return 1;
-  }
-  burst_buf_.clear();
-  burst_buf_.push_back(first);
-  uint64_t taken = 1;
-  while (taken < budget && !queue_.empty() && queue_.front().time == t) {
-    std::pop_heap(queue_.begin(), queue_.end(), EventCmp{});
-    burst_buf_.push_back(queue_.back());
-    queue_.pop_back();
-    ++taken;
-  }
-  // Destination-sorted prefetch pre-pass: touch each target node's state
-  // (and each payload's first line) grouped by destination, so a node
-  // hit several times in the burst is warm for all its deliveries.
-  // Read-only — no RNG draws, no state mutation — so dispatch order and
-  // trace bytes are unaffected.  Stable insertion sort: bursts are small
-  // (same-tick cohorts), and std::stable_sort would heap-allocate its
-  // merge buffer on every call (the warm fuzz loop is allocation-free).
-  // Capped: past a few dozen events the insertion sort goes quadratic and
-  // early prefetches are evicted before dispatch reaches them, so large
-  // bursts (all-pairs storms) skip straight to the dispatch walk.
-  static constexpr size_t kBurstPrefetchCap = 32;
-  if (burst_buf_.size() <= kBurstPrefetchCap) {
-    auto dest_of = [this](const Event& e) {
-      return e.kind == EventKind::kDeliver ? packet_slab_[e.a].to
-                                           : static_cast<ProcessId>(e.a);
-    };
-    burst_order_.clear();
-    for (uint32_t i = 0; i < burst_buf_.size(); ++i) {
-      const EventKind k = burst_buf_[i].kind;
-      if (k == EventKind::kDeliver || k == EventKind::kBgPacket) {
-        burst_order_.push_back(i);
-      }
-    }
-    for (size_t i = 1; i < burst_order_.size(); ++i) {
-      const uint32_t v = burst_order_[i];
-      const ProcessId dv = dest_of(burst_buf_[v]);
-      size_t j = i;
-      while (j > 0 && dest_of(burst_buf_[burst_order_[j - 1]]) > dv) {
-        burst_order_[j] = burst_order_[j - 1];
-        --j;
-      }
-      burst_order_[j] = v;
-    }
-    for (uint32_t i : burst_order_) {
-      const Event& e = burst_buf_[i];
-      if (Node* n = node_of(dest_of(e))) {
-        __builtin_prefetch(n);
-        __builtin_prefetch(n->actor);
-      }
-      if (e.kind == EventKind::kDeliver && !packet_slab_[e.a].bytes.empty()) {
-        __builtin_prefetch(packet_slab_[e.a].bytes.data());
-      }
-    }
-  }
-  // Dispatch in (tick, seq) order.  Handlers may push new events — same-
-  // tick pushes land in queue_ with seqs above everything drained here and
-  // form the next burst; burst_buf_ itself is never touched mid-walk (no
-  // handler re-enters the run loops).
-  for (const Event& e : burst_buf_) dispatch(e);
-  ++bursts_;
-  burst_events_ += taken;
-  return taken;
-}
-
 bool SimWorld::run_until_idle(uint64_t max_events) {
-  if (!burst_mode_) {
-    for (uint64_t i = 0; i < max_events; ++i) {
-      if (!step()) return true;
-    }
-    return queue_.empty();
-  }
-  uint64_t budget = max_events;
-  while (budget > 0) {
-    if (queue_.empty()) return true;
-    budget -= drain_burst(budget);
+  for (uint64_t i = 0; i < max_events; ++i) {
+    if (!step()) return true;
   }
   return queue_.empty();
 }
@@ -852,15 +760,7 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
 }
 
 void SimWorld::run_until(Tick t) {
-  if (burst_mode_) {
-    // drain_burst only consumes the front tick, which the loop condition
-    // has already bounded by t, so no lookahead past the limit is possible.
-    while (!queue_.empty() && queue_.front().time <= t) {
-      drain_burst(UINT64_MAX);
-    }
-  } else {
-    while (!queue_.empty() && queue_.front().time <= t) step();
-  }
+  while (!queue_.empty() && queue_.front().time <= t) step();
   if (now_ < t) now_ = t;
 }
 

@@ -40,12 +40,10 @@
 //     always pins the skip frontier, so skips never reorder deliveries or
 //     perturb RNG draw order: a run without background machinery (the
 //     oracle detector) is bit-for-bit unaffected.
-//   * Burst dataplane — the skip-free run loops drain all events at the
-//     current tick as one batch (the NDN-DPDK run-to-completion idiom):
-//     deliveries are prefetched in destination order so each node's state
-//     is touched while cache-hot, then dispatched in the unchanged
-//     (tick, seq) order, so traces stay byte-identical to per-event
-//     stepping (see set_burst_mode).
+//   * One dispatch loop — every run loop pops and dispatches one event at
+//     a time through step(), in (tick, seq) order.  Batching same-tick
+//     events does not pay: batches average ~1.1 events on the fuzz and
+//     soak grids.
 //
 // Partitions: the model's channels are reliable, so a "partition" here
 // *delays* messages (holds them in the channel) rather than dropping them;
@@ -124,9 +122,9 @@ class Meter {
  public:
   /// Record one send of the given kind.
   void count(uint32_t kind) { count_n(kind, 1); }
-  /// Record `n` sends of one kind in a single update (burst dataplane: a
-  /// wave fan or an encode-once broadcast meters its whole fan at once
-  /// instead of re-running the range checks per target).
+  /// Record `n` sends of one kind in a single update (a wave fan or an
+  /// encode-once broadcast meters its whole fan at once instead of
+  /// re-running the range checks per target).
   void count_n(uint32_t kind, uint64_t n) {
     total_ += n;
     if (kind >= det_lo_ && kind <= det_hi_) detector_total_ += n;
@@ -254,37 +252,14 @@ class SimWorld {
   /// monitor's proof of life.
   bool channel_blocked(ProcessId a, ProcessId b) const { return blocked(a, b); }
 
-  /// Process a single event.  Returns false when the queue is empty.
+  /// Process a single event: pop the (tick, seq)-least entry and dispatch
+  /// it.  The only dispatch loop; every run_* method below is built on it.
+  /// Returns false when the queue is empty.
   bool step();
 
   /// Run until the queue drains or `max_events` have been processed.
   /// Returns true on a drained queue (quiescence), false on the guard.
   bool run_until_idle(uint64_t max_events = 50'000'000);
-
-  /// Burst dataplane toggle (default on).  With bursts enabled, the
-  /// skip-free run loops — run_until_idle and run_until — drain every
-  /// event queued at the front tick in one pass: the batch pops out of the
-  /// heap in (tick, seq) order, a destination-sorted read-only pre-pass
-  /// prefetches each target node's state, and the events then dispatch in
-  /// exactly the order consecutive step() calls would have used, so traces
-  /// and RNG draws are byte-identical to the legacy path (pinned by
-  /// determinism_test and a CI A/B diff).  Events a handler pushes at the
-  /// current tick carry higher seqs than everything already drained, so the
-  /// next burst picks them up in the same global order too.
-  /// run_until_protocol_idle deliberately stays per-event: its try_skip()
-  /// check between events may elide same-tick background work, and a burst
-  /// spanning that boundary would dispatch events a skip-enabled run
-  /// elides.  Survives reset() — it is engine configuration, not run state
-  /// (the harness re-asserts it per run regardless).
-  void set_burst_mode(bool on) { burst_mode_ = on; }
-  bool burst_mode() const { return burst_mode_; }
-
-  /// Burst telemetry since construction/reset: batches drained and events
-  /// dispatched through them.  gmpx_fuzz --stats derives mean burst size
-  /// and bursts/schedule from these so batching effectiveness regressions
-  /// show up without a profiler.
-  uint64_t bursts() const { return bursts_; }
-  uint64_t burst_events() const { return burst_events_; }
 
   /// Protocol-quiescence for runs with an always-on background layer
   /// (heartbeat pings re-arm forever, so the queue never drains).  Steps
@@ -518,14 +493,6 @@ class SimWorld {
   /// timer slot, wave fan) without running it.
   void discard_elided(const Event& e);
   void push_event(Tick time, EventKind kind, uint32_t a, uint64_t gen = 0);
-  /// Pop every event queued at the front tick (at most `budget` of them)
-  /// into burst_buf_, prefetch per-destination state in destination order,
-  /// then dispatch the batch in (tick, seq) order.  Returns the number of
-  /// events popped (== dispatch attempts, matching step()'s budget
-  /// accounting, stale timer entries included).  Callers guarantee a
-  /// non-empty queue.  Only the skip-free run loops call this; see
-  /// set_burst_mode for the ordering contract.
-  uint64_t drain_burst(uint64_t budget);
   uint32_t acquire_packet_slot(Packet&& p);
   void release_packet_slot(uint32_t slot);
   void dispatch(Event ev);
@@ -593,15 +560,6 @@ class SimWorld {
   uint64_t skipped_ticks_ = 0;
   uint64_t skipped_events_ = 0;
   uint64_t skips_ = 0;
-  // Burst dataplane: same-tick batch staging (drain_burst) + telemetry.
-  // burst_buf_ holds the batch in (tick, seq) dispatch order; burst_order_
-  // is the destination-sorted index of its deliveries for the prefetch
-  // pre-pass.  Both keep capacity across runs like every other slab.
-  bool burst_mode_ = true;
-  std::vector<Event> burst_buf_;
-  std::vector<uint32_t> burst_order_;
-  uint64_t bursts_ = 0;
-  uint64_t burst_events_ = 0;
   // Pending foreground work: queued deliveries of non-background kinds,
   // queued crash/script events, and armed non-background timers.  Zero
   // means only detector upkeep remains (protocol quiescence candidate).

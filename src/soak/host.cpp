@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "soak/availability.hpp"
+
 namespace gmpx::soak {
 
 void SoakHost::attach(harness::Cluster& c) {
@@ -63,6 +65,20 @@ std::vector<ProcessId> SoakHost::survivors() const {
     if (v == frontier) out.push_back(id);
   }
   return out;
+}
+
+AppVerdict SoakHost::judge(const scenario::Schedule& s, const scenario::ExecResult& r,
+                           bool require_majority) const {
+  AppVerdict v;
+  v.availability = availability_from_trace(cluster_->recorder(), r.end_tick, require_majority);
+  AppCheckOptions aopts;
+  aopts.staleness_bound = opts_->staleness_bound;
+  // Terminal clauses ride the same preconditions as GMP-5: a quiesced run
+  // that was held to liveness.  Stalled or stall-allowed runs only get the
+  // safety clauses.
+  aopts.check_terminal = r.quiesced && r.liveness_checked;
+  v.check = check_app(trace_, cluster_->recorder(), s, survivors(), final_states(), aopts);
+  return v;
 }
 
 std::vector<ReplicaState> SoakHost::final_states() const {

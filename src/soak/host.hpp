@@ -18,10 +18,18 @@
 #include "app/work_queue.hpp"
 #include "group/process_group.hpp"
 #include "harness/cluster.hpp"
+#include "scenario/executor.hpp"
 #include "soak/app_oracle.hpp"
 #include "soak/workload.hpp"
 
 namespace gmpx::soak {
+
+/// The application-level verdict on one concluded run.
+struct AppVerdict {
+  /// Fraction of virtual time a majority view could serve client ops.
+  double availability = 0.0;
+  trace::CheckResult check;  ///< APP-R1..R4, APP-Q1..Q2
+};
 
 class SoakHost {
  public:
@@ -45,6 +53,12 @@ class SoakHost {
   std::vector<ProcessId> survivors() const;
 
   std::vector<ReplicaState> final_states() const;
+
+  /// Judge the run this host is attached to, once the executor concluded
+  /// it with `r`: steady-state availability over the membership trace, and
+  /// the app oracles.  run_soak and the GroupMux both judge through here.
+  AppVerdict judge(const scenario::Schedule& s, const scenario::ExecResult& r,
+                   bool require_majority) const;
 
   const app::AppTrace& trace() const { return trace_; }
   uint64_t attempted() const { return attempted_; }

@@ -10,7 +10,6 @@
 #include "app/work_queue.hpp"
 #include "harness/cluster.hpp"
 #include "scenario/minimizer.hpp"
-#include "soak/availability.hpp"
 #include "soak/host.hpp"
 
 namespace gmpx::soak {
@@ -31,17 +30,9 @@ SoakResult run_on(const scenario::Schedule& s, const Workload& w,
   r.ops_rejected = host.rejected();
   r.sync_passes = host.sync_passes();
   r.converged = host.converged_flag();
-  r.availability = availability_from_trace(cluster.recorder(), r.exec.end_tick,
-                                           exec_opts.require_majority);
-
-  AppCheckOptions aopts;
-  aopts.staleness_bound = sopts.staleness_bound;
-  // Terminal clauses ride the same preconditions as GMP-5: a quiesced run
-  // that was held to liveness.  Stalled or stall-allowed runs only get the
-  // safety clauses.
-  aopts.check_terminal = r.exec.quiesced && r.exec.liveness_checked;
-  r.app_check = check_app(host.trace(), cluster.recorder(), s, host.survivors(),
-                          host.final_states(), aopts);
+  AppVerdict v = host.judge(s, r.exec, exec_opts.require_majority);
+  r.availability = v.availability;
+  r.app_check = std::move(v.check);
   return r;
 }
 

@@ -41,16 +41,11 @@ struct AllocStats {
 /// fuzzed schedules (execute() only — generation is excluded, matching the
 /// "per fuzzed schedule" figure the sweep's --stats reports).
 AllocStats measure_warm_loop(fd::DetectorKind detector) {
-  GeneratorOptions gen;
-  gen.profile = Profile::kMixed;
-  gen.n = 5;
+  GeneratorOptions base;
+  base.n = 5;
   ExecOptions exec;
   exec.fd = detector;
-  if (detector == fd::DetectorKind::kHeartbeat) {
-    gen = tuned_for_heartbeat(gen, exec.heartbeat);
-  } else if (detector == fd::DetectorKind::kPhi) {
-    gen = tuned_for_phi(gen, exec.phi);
-  }
+  const GeneratorOptions gen = unit_generator(base, Profile::kMixed, exec, nullptr);
   harness::Cluster cluster{harness::ClusterOptions{}};
   for (uint64_t seed = 100; seed < 160; ++seed) {
     ExecResult r = execute(generate(seed, gen), exec, cluster);
@@ -83,18 +78,11 @@ AllocStats measure_soak_warm_loop() {
   uint64_t runs = 0;
   for (fd::DetectorKind detector :
        {fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat, fd::DetectorKind::kPhi}) {
-    GeneratorOptions gen;
-    gen.profile = Profile::kMixed;
-    gen.n = 5;
+    GeneratorOptions base;
+    base.n = 5;
     ExecOptions exec;
     exec.fd = detector;
-    if (detector == fd::DetectorKind::kHeartbeat) {
-      gen = tuned_for_heartbeat(gen, exec.heartbeat);
-    } else if (detector == fd::DetectorKind::kPhi) {
-      gen = tuned_for_phi(gen, exec.phi);
-    }
-    gen.horizon = std::max(gen.horizon, sopts.horizon);
-    gen.restart_weight = sopts.restart_weight;
+    const GeneratorOptions gen = unit_generator(base, Profile::kMixed, exec, &sopts);
     for (uint64_t seed = 100; seed < 120; ++seed) {
       const soak::SoakResult r = soak::run_soak(
           generate(seed, gen), soak::generate_workload(seed, sopts), exec, sopts, cluster);

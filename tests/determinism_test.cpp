@@ -132,54 +132,6 @@ TEST(Determinism, PooledClusterResetMatchesFreshCluster) {
   }
 }
 
-TEST(Determinism, BurstMatchesSingleStepEveryProfileAndDetector) {
-  // The burst dataplane drains whole same-tick batches (destination-sorted
-  // prefetch, encode-once fan-out) where the legacy loop steps one event at
-  // a time.  The contract is byte-identity: for every profile x detector
-  // cell, the two replay modes must produce the same trace fingerprint,
-  // verdict, telemetry, and tick-for-tick results.  This is the test that
-  // lets the sweep default to burst mode without a determinism caveat.
-  for (fd::DetectorKind detector : {fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat,
-                                    fd::DetectorKind::kPhi}) {
-    ExecOptions burst_on;
-    burst_on.fd = detector;
-    ExecOptions burst_off = burst_on;
-    burst_off.burst = false;
-    bool any_burst = false;
-    for (Profile p : {Profile::kMixed, Profile::kChurnHeavy, Profile::kPartitionHeavy,
-                      Profile::kBurstCrash, Profile::kLossy}) {
-      GeneratorOptions gen;
-      gen.profile = p;
-      if (detector == fd::DetectorKind::kHeartbeat) gen = tuned_for_heartbeat(gen, burst_on.heartbeat);
-      if (detector == fd::DetectorKind::kPhi) gen = tuned_for_phi(gen, burst_on.phi);
-      for (uint64_t seed : {0ull, 7ull, 23ull}) {
-        Schedule s = generate(seed, gen);
-        ExecResult batched = execute(s, burst_on);
-        ExecResult stepped = execute(s, burst_off);
-        SCOPED_TRACE(std::string(to_string(p)) + "/" + fd::to_string(detector) +
-                     " seed=" + std::to_string(seed));
-        expect_same_result(batched, stepped);
-        EXPECT_EQ(batched.fd_messages, stepped.fd_messages);
-        // The toggle is real: legacy mode never reports burst telemetry...
-        EXPECT_EQ(stepped.bursts, 0u);
-        EXPECT_EQ(stepped.burst_events, 0u);
-        if (batched.bursts > 0) any_burst = true;
-      }
-    }
-    if (detector == fd::DetectorKind::kOracle) {
-      // ...and burst mode actually engaged on the oracle axis, whose whole
-      // quiescence loop (run_until_idle) is burst-drained.
-      EXPECT_TRUE(any_burst);
-    } else {
-      // Timeout-detector runs end via run_until_protocol_idle, which steps
-      // per event by contract — a skip firing between same-tick events may
-      // elide trailing background events that a cross-boundary burst would
-      // have dispatched.  Zero bursts on these axes pins that contract.
-      EXPECT_FALSE(any_burst) << fd::to_string(detector);
-    }
-  }
-}
-
 TEST(Determinism, DifferentSeedsDiverge) {
   // Sanity check that the fingerprint has discriminating power: across a
   // seed range at least one pair of traces must differ.

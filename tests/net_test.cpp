@@ -10,7 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "fd/heartbeat.hpp"
@@ -30,6 +33,19 @@ uint16_t base_port() {
   // (25000+).
   static std::atomic<uint16_t> next{21000};
   return next.fetch_add(20);
+}
+
+/// The members of `node`'s view, read on `rt`'s loop thread (the thread
+/// that writes the view), or nullopt when the loop does not answer within
+/// a second.  The answer is shared so a late reply never writes through a
+/// dangling reference.
+std::optional<std::vector<ProcessId>> members_on_loop(net::TcpRuntime& rt,
+                                                      const gmp::GmpNode& node) {
+  auto answer = std::make_shared<std::promise<std::vector<ProcessId>>>();
+  std::future<std::vector<ProcessId>> view = answer->get_future();
+  rt.post([answer, &node] { answer->set_value(node.view().sorted_members()); });
+  if (view.wait_for(1s) != std::future_status::ready) return std::nullopt;
+  return view.get();
 }
 
 struct Collector : Actor {
@@ -362,10 +378,7 @@ TEST(Net, FullGroupOverLocalhost) {
     std::this_thread::sleep_for(50ms);
     converged = true;
     for (ProcessId p = 0; p < 3; ++p) {
-      // Views are written on the loop threads; snapshot via post+flag would
-      // be strictly correct, but a read of a converged (quiescent) view is
-      // stable in practice for this test.
-      converged = converged && nodes[p]->view().sorted_members() ==
+      converged = converged && members_on_loop(*rts[p], *nodes[p]) ==
                                    std::vector<ProcessId>({0, 1, 2});
     }
   }

@@ -233,11 +233,8 @@ TEST(Soak, CleanRunsAcrossDetectors) {
        {fd::DetectorKind::kOracle, fd::DetectorKind::kHeartbeat, fd::DetectorKind::kPhi}) {
     scenario::ExecOptions exec;
     exec.fd = kind;
-    scenario::GeneratorOptions gen;
-    gen.horizon = sopts.horizon;
-    gen.restart_weight = sopts.restart_weight;
-    if (kind == fd::DetectorKind::kHeartbeat) gen = tuned_for_heartbeat(gen, exec.heartbeat);
-    if (kind == fd::DetectorKind::kPhi) gen = tuned_for_phi(gen, exec.phi);
+    const scenario::GeneratorOptions gen =
+        scenario::unit_generator({}, scenario::Profile::kMixed, exec, &sopts);
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       const Schedule s = scenario::generate(seed, gen);
       const Workload w = soak::generate_workload(seed, sopts);

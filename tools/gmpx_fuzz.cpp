@@ -66,7 +66,7 @@ void usage() {
                "                 [--mux-lifetime LO:HI] [--mux-no-sessions]\n"
                "                 [--exec sim|tcp] [--tick-us U|auto] [--base-port P]\n"
                "                 [--node-bin PATH]\n"
-               "                 [--replay FILE [--minimize]] [-v] [--stats] [--no-burst]\n"
+               "                 [--replay FILE [--minimize]] [-v] [--stats]\n"
                "\n"
                "--fd heartbeat runs real ping/timeout detection instead of the scripted\n"
                "oracle (storm intensities are calibrated so false suspicions fire);\n"
@@ -84,12 +84,8 @@ void usage() {
                "artifact).  --tick-us scales schedule ticks to real microseconds,\n"
                "--base-port moves the port window, --node-bin points at gmpx_node.\n"
                "--stats prints a per-run allocs=/exec=/skip= line and, per detector,\n"
-               "schedules/s, wall-clock, the fast-forward skip ratio, and the burst\n"
-               "dataplane's mean batch size / bursts-per-schedule in the final report\n"
-               "(telemetry; NOT byte-stable across --jobs values).\n"
-               "--no-burst replays through the legacy per-event step loop instead of\n"
-               "the burst dataplane; output is byte-identical either way (CI diffs\n"
-               "the two on every push).\n"
+               "schedules/s, wall-clock and the fast-forward skip ratio in the final\n"
+               "report (telemetry; NOT byte-stable across --jobs values).\n"
                "--soak layers a per-seed generated client workload (registry\n"
                "reads/writes + work-queue items, primary-routed) over every fault\n"
                "schedule, mixes restart churn into the generator, and judges each run\n"
@@ -294,8 +290,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v) return false;
       a.tcp.node_bin = v;
-    } else if (arg == "--no-burst") {
-      a.exec.burst = false;
     } else if (arg == "--soak") {
       a.soak = true;
     } else if (arg == "--soak-horizon") {
@@ -590,7 +584,6 @@ int main(int argc, char** argv) {
     for (fd::DetectorKind d : sweep.detectors) {
       uint64_t runs = 0, ns = 0, allocs = 0;
       uint64_t skipped_ticks = 0, skipped_events = 0, sim_ticks = 0, aborted = 0;
-      uint64_t bursts = 0, burst_events = 0;
       uint64_t mux_runs = 0, mux_groups = 0;
       double occupancy_sum = 0.0;
       for (const SweepRun& run : result.run_log) {
@@ -602,8 +595,6 @@ int main(int argc, char** argv) {
         skipped_events += run.skipped_events;
         sim_ticks += run.end_tick;
         aborted += run.aborted_joins;
-        bursts += run.bursts;
-        burst_events += run.burst_events;
         if (run.groups) {
           ++mux_runs;
           mux_groups += run.groups;
@@ -614,23 +605,15 @@ int main(int argc, char** argv) {
       // skip-ratio = fast-forwarded ticks / total simulated ticks for the
       // axis; CI asserts it stays nonzero on the heartbeat axis so the fast
       // path cannot silently regress to tick-grinding.
-      // Burst telemetry: mean events per drained batch and batches per
-      // schedule.  Only the oracle axis bursts — the timeout-detector
-      // quiescence loop steps per event by contract (skips between
-      // same-tick events), so heartbeat/phi report mean-burst=0.00 by
-      // design, not as a regression.
       std::printf(
           "stats %s: %.1f schedules/s (%lu runs, %.1fms wall, mean allocs=%.1f, "
-          "skip-ratio=%.3f, elided=%lu, aborted-joins=%lu, mean-burst=%.2f, "
-          "bursts/run=%.1f)",
+          "skip-ratio=%.3f, elided=%lu, aborted-joins=%lu)",
           fd::to_string(d), ns ? 1e9 * static_cast<double>(runs) / ns : 0.0,
           static_cast<unsigned long>(runs), static_cast<double>(ns) / 1e6,
           static_cast<double>(allocs) / static_cast<double>(runs),
           sim_ticks ? static_cast<double>(skipped_ticks) / static_cast<double>(sim_ticks)
                     : 0.0,
-          static_cast<unsigned long>(skipped_events), static_cast<unsigned long>(aborted),
-          bursts ? static_cast<double>(burst_events) / static_cast<double>(bursts) : 0.0,
-          static_cast<double>(bursts) / static_cast<double>(runs));
+          static_cast<unsigned long>(skipped_events), static_cast<unsigned long>(aborted));
       if (mux_runs) {
         // Mux throughput: whole pooled deployments concluded per second of
         // summed run_mux() wall time, plus mean residency occupancy.  Like
