@@ -11,6 +11,9 @@
 //               first is compressed (commit doubles as next invitation).
 //   standard  — suspicions arrive one at a time, spaced far apart; every
 //               round pays the full two-phase 3m-5 in its current view m.
+//
+// Exits non-zero unless, at every n, the standard stream costs exactly the
+// paper's sum(3m-5) and the condensed stream is strictly cheaper.
 #include <cstdio>
 
 #include "gmp/messages.hpp"
@@ -76,6 +79,7 @@ int main() {
   std::printf("%4s | %10s %14s | %10s %16s | %14s\n", "n", "condensed", "paper ~(n-1)^2",
               "standard", "paper sum(3m-5)", "saved/exclusion");
   std::printf("-----+---------------------------+-----------------------------+---------------\n");
+  bool ok = true;
   for (size_t n : {8u, 16u, 32u}) {
     uint64_t cond = measure_condensed(n);
     uint64_t stnd = measure_standard(n);
@@ -87,8 +91,11 @@ int main() {
                 (unsigned long long)cond, (unsigned long long)paper_cond,
                 (unsigned long long)stnd, (unsigned long long)paper_stnd, saved,
                 n / 2.0 - 1);
+    ok = ok && stnd == paper_stnd && cond < stnd;
   }
   std::printf("\nShape check: condensed ~ (n-1)^2 total i.e. ~n-1 per exclusion; the\n"
-              "condensed algorithm saves ~n/2-1 messages per exclusion vs standard.\n");
-  return 0;
+              "condensed algorithm saves ~n/2-1 messages per exclusion vs standard.\n"
+              "Standard must equal sum(3m-5) exactly and condensed must beat it.  %s\n",
+              ok ? "OK." : "DEPARTURE — investigate.");
+  return ok ? 0 : 1;
 }

@@ -1,15 +1,19 @@
-// Event-core microbenchmarks: the raw throughput floor of SimWorld itself,
-// isolated from protocol logic.  bench_scenario measures the whole fuzzing
-// stack; this suite pins down the simulator's share of it — events/s through
-// the heap, sends/s through the channel/packet machinery, and timer
-// arm/cancel churn — so a regression in the event core is visible even when
-// protocol costs move.
+// Micro-benchmarks for the layers perfbench's end-to-end workloads do not
+// isolate: the raw throughput floor of SimWorld itself, apart from protocol
+// logic — events/s through the heap, sends/s through the channel/packet
+// machinery, timer arm/cancel churn, deep-queue skips — plus the codec and
+// the schedule minimizer.  A regression in the event core stays visible
+// here even when protocol costs move.  Not committed results: run locally,
+// e.g. `./bench_sim_core --benchmark_min_time=0.05`.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <vector>
 
 #include "gmp/messages.hpp"
+#include "scenario/executor.hpp"
+#include "scenario/generator.hpp"
+#include "scenario/minimizer.hpp"
 #include "sim/world.hpp"
 
 using namespace gmpx;
@@ -291,3 +295,32 @@ static void BM_SimCore_PartitionHeal(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(healed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimCore_PartitionHeal);
+
+/// Minimization cost on a guaranteed failure (the injected GMP-1 bug).
+static void BM_Scenario_Minimize(benchmark::State& state) {
+  scenario::ExecOptions bug;
+  bug.inject_bug_unrecorded_suspicion = true;
+  scenario::GeneratorOptions gen;
+  gen.profile = scenario::Profile::kChurnHeavy;
+  gen.max_events = 12;
+  // Pick one failing schedule up front so iterations are comparable.
+  scenario::Schedule failing;
+  for (uint64_t seed = 0;; ++seed) {
+    failing = scenario::generate(seed, gen);
+    if (!scenario::execute(failing, bug).check.ok()) break;
+  }
+  auto fails = [&bug](const scenario::Schedule& c) {
+    return !scenario::execute(c, bug).check.ok();
+  };
+  size_t events_after = 0, probes = 0;
+  for (auto _ : state) {
+    scenario::MinimizeStats stats;
+    scenario::Schedule m = scenario::minimize(failing, fails, {}, &stats);
+    events_after = stats.events_after;
+    probes = stats.probes;
+    benchmark::DoNotOptimize(m.events.size());
+  }
+  state.counters["events_after"] = benchmark::Counter(static_cast<double>(events_after));
+  state.counters["probes"] = benchmark::Counter(static_cast<double>(probes));
+}
+BENCHMARK(BM_Scenario_Minimize);

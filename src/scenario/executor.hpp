@@ -18,18 +18,7 @@
 
 namespace gmpx::scenario {
 
-/// Which deployment a schedule runs against.  kSim replays in-process on
-/// sim::SimWorld (this file's execute()); kTcp forks one OS process per
-/// member and injects faults through userspace proxies (realexec::
-/// execute_tcp) — the sweep's cross-check mode runs both and insists the
-/// verdicts agree.  Lives here (not in realexec) so CLI/option plumbing
-/// needs no dependency on the real executor.
-enum class ExecBackend : uint8_t { kSim, kTcp };
-
 struct ExecOptions {
-  /// Deployment selector.  execute() itself always runs the sim; the
-  /// sweep/CLI layer reads this to route a schedule to realexec instead.
-  ExecBackend backend = ExecBackend::kSim;
   /// Assert GMP-5 convergence when the run quiesces and the schedule is
   /// liveness_eligible().  Safety (GMP-0..4) is always checked.
   bool check_liveness = true;

@@ -4,7 +4,7 @@
 // Computed from the membership trace alone (trace::Recorder), so the same
 // metric applies to the paper protocol and to every baseline in
 // src/baseline/ — it is the soak harness's workload-level comparison axis
-// (BENCH_soak.json).
+// (bench_soak).
 //
 // The service is "available" at time t when a usable write primary exists:
 //

@@ -15,6 +15,14 @@ std::string fmt(const char* clause, const std::string& detail) {
   return std::string(clause) + ": " + detail;
 }
 
+/// "p<id>".  Appends rather than `"p" + std::to_string(id)`, whose inlined
+/// prepend trips GCC 12's -Wrestrict false positive in Release builds.
+std::string proc(ProcessId p) {
+  std::string s = "p";
+  s += std::to_string(p);
+  return s;
+}
+
 /// One snapshot of the recorder, shared by every clause checker.  Built in
 /// a single in-place scan under one recorder lock — the checker runs after
 /// every fuzzed schedule, making it part of the sweep's hot path, so the
@@ -142,7 +150,7 @@ void gmp0_into(const TraceIndex& ix, CheckResult& r) {
     for (const TraceIndex::ViewRef& v : vs) {
       if (v.version == 0 && *v.members != ix.initial) {
         r.violations.push_back(
-            fmt("GMP-0", "p" + std::to_string(p) + " installed a version-0 view != Proc"));
+            fmt("GMP-0", proc(p) + " installed a version-0 view != Proc"));
       }
     }
   }
@@ -172,14 +180,14 @@ void gmp1_into(TraceIndex& ix, CheckResult& r) {
       case EventKind::kRemove:
         if (!has(believed_faulty, pair_key(e.actor, e.target))) {
           r.violations.push_back(fmt(
-              "GMP-1", "p" + std::to_string(e.actor) + " removed " + std::to_string(e.target) +
+              "GMP-1", proc(e.actor) + " removed " + std::to_string(e.target) +
                            " without a prior faulty event"));
         }
         break;
       case EventKind::kAdd:
         if (!has(believed_operational, pair_key(e.actor, e.target))) {
           r.violations.push_back(fmt(
-              "GMP-1", "p" + std::to_string(e.actor) + " added " + std::to_string(e.target) +
+              "GMP-1", proc(e.actor) + " added " + std::to_string(e.target) +
                            " without a prior operational event"));
         }
         break;
@@ -233,11 +241,11 @@ void gmp23_into(TraceIndex& ix, CheckResult& r) {
                              " first installed version " + std::to_string(v.version)));
         } else if (!is_initial(p) && v.version == 0) {
           r.violations.push_back(
-              fmt("GMP-2/3", "p" + std::to_string(p) + " re-installed version 0"));
+              fmt("GMP-2/3", proc(p) + " re-installed version 0"));
         }
       } else if (v.version != prev + 1) {
         r.violations.push_back(fmt(
-            "GMP-2/3", "p" + std::to_string(p) + " jumped from version " + std::to_string(prev) +
+            "GMP-2/3", proc(p) + " jumped from version " + std::to_string(prev) +
                            " to " + std::to_string(v.version)));
       }
       prev = v.version;
@@ -258,7 +266,7 @@ void gmp4_into(TraceIndex& ix, CheckResult& r) {
       for (ProcessId q : *v.members) {
         if (std::find(ever_removed.begin(), ever_removed.end(), q) != ever_removed.end()) {
           r.violations.push_back(fmt(
-              "GMP-4", "p" + std::to_string(p) + " re-instated " + std::to_string(q) +
+              "GMP-4", proc(p) + " re-instated " + std::to_string(q) +
                            " in view v" + std::to_string(v.version)));
         }
       }

@@ -11,7 +11,10 @@
 
 static bool g_trace = false;
 
-void* operator new(size_t n) {
+// All three out of line: where GCC inlines only one side of a new/delete
+// pair it sees malloc matched with operator delete, or operator new with
+// free, and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t n) {
   if (g_trace) {
     g_trace = false;
     void* frames[16];
@@ -23,8 +26,8 @@ void* operator new(size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 using namespace gmpx;
 using namespace gmpx::scenario;

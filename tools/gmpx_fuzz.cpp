@@ -119,6 +119,8 @@ struct Args {
   std::vector<fd::DetectorKind> detectors = {fd::DetectorKind::kOracle};
   GeneratorOptions gen;
   ExecOptions exec;
+  /// --exec tcp: cross-check every schedule against a live process cluster.
+  bool exec_tcp = false;
   realexec::TcpExecOptions tcp;
   std::string replay_file;
   bool minimize_replay = false;
@@ -265,9 +267,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v) return false;
       if (std::string(v) == "sim") {
-        a.exec.backend = ExecBackend::kSim;
+        a.exec_tcp = false;
       } else if (std::string(v) == "tcp") {
-        a.exec.backend = ExecBackend::kTcp;
+        a.exec_tcp = true;
       } else {
         return false;
       }
@@ -377,6 +379,17 @@ std::vector<Profile> profiles_of(const std::string& name) {
   return out;
 }
 
+/// The live cluster's options: the --tick-us/--base-port/--node-bin settings
+/// plus the protocol knobs the sim side of a run uses too.
+realexec::TcpExecOptions tcp_options(const Args& a) {
+  realexec::TcpExecOptions topts = a.tcp;
+  topts.check_liveness = a.exec.check_liveness;
+  topts.require_majority = a.exec.require_majority;
+  topts.join_max_attempts = a.exec.join_max_attempts;
+  topts.heartbeat = a.exec.heartbeat;
+  return topts;
+}
+
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
@@ -423,15 +436,10 @@ int main(int argc, char** argv) {
     // A schedule file is self-contained; --fd selects which detector the
     // replay runs under (first listed when several were named).
     a.exec.fd = a.detectors.front();
-    if (a.exec.backend == ExecBackend::kTcp) {
+    if (a.exec_tcp) {
       // Replay against a live cluster: the detector is always heartbeat on
       // this axis, and the verdict comes from the merged real trace.
-      realexec::TcpExecOptions topts = a.tcp;
-      topts.check_liveness = a.exec.check_liveness;
-      topts.require_majority = a.exec.require_majority;
-      topts.join_max_attempts = a.exec.join_max_attempts;
-      topts.heartbeat = a.exec.heartbeat;
-      realexec::TcpExecResult res = realexec::execute_tcp(sched, topts);
+      realexec::TcpExecResult res = realexec::execute_tcp(sched, tcp_options(a));
       std::printf("replay %s (exec=tcp fd=heartbeat): %s (tick=%lu view=%zu liveness=%s)\n",
                   a.replay_file.c_str(), res.ok() ? "OK" : "FAIL",
                   static_cast<unsigned long>(res.end_tick), res.final_view_size,
@@ -454,7 +462,7 @@ int main(int argc, char** argv) {
     return report_failure(a, sched, res, "replay");
   }
 
-  if (a.soak && a.exec.backend == ExecBackend::kTcp) {
+  if (a.soak && a.exec_tcp) {
     std::fprintf(stderr, "--soak is a sim-only mode (the application host lives in the "
                          "simulated world); drop --exec tcp\n");
     return 2;
@@ -464,14 +472,14 @@ int main(int argc, char** argv) {
     const std::vector<Profile> ps = profiles_of(a.profile);
     const bool has_mux =
         std::find(ps.begin(), ps.end(), Profile::kGroupMux) != ps.end();
-    if (has_mux && a.exec.backend == ExecBackend::kTcp) {
+    if (has_mux && a.exec_tcp) {
       std::fprintf(stderr, "groupmux is a sim-only profile (the mux multiplexes simulated "
                            "worlds); drop --exec tcp\n");
       return 2;
     }
   }
 
-  if (a.exec.backend == ExecBackend::kTcp) {
+  if (a.exec_tcp) {
     // The TCP axis: for every (profile, seed) run the schedule against the
     // simulator AND a live process cluster, and insist the verdicts agree.
     // Serial on purpose — each run owns the port window and the machine's
@@ -485,11 +493,7 @@ int main(int argc, char** argv) {
         sim.fd = fd::DetectorKind::kHeartbeat;
         gen = tuned_for_heartbeat(gen, sim.heartbeat);
         Schedule sched = generate(seed, gen);
-        realexec::TcpExecOptions topts = a.tcp;
-        topts.check_liveness = a.exec.check_liveness;
-        topts.require_majority = a.exec.require_majority;
-        topts.join_max_attempts = a.exec.join_max_attempts;
-        topts.heartbeat = a.exec.heartbeat;
+        realexec::TcpExecOptions topts = tcp_options(a);
         // Rotate the port window so a lingering TIME_WAIT from the previous
         // run can never collide with the next one's listeners.
         topts.base_port =

@@ -251,13 +251,15 @@ int main(int argc, char** argv) {
                             std::to_string(node.view().version()) + "{";
           bool first = true;
           for (ProcessId m : node.view().sorted_members()) {
-            out += (first ? "" : ",") + std::to_string(m);
+            if (!first) out += ',';
+            out += std::to_string(m);
             first = false;
           }
           out += "} awaiting=[";
           first = true;
           for (ProcessId q : node.awaiting()) {
-            out += (first ? "" : ",") + std::to_string(q);
+            if (!first) out += ',';
+            out += std::to_string(q);
             first = false;
           }
           out += "] admitted=" + std::to_string(node.admitted() ? 1 : 0) +
