@@ -1,5 +1,7 @@
 #include "fd/detector.hpp"
 
+#include <cassert>
+
 namespace gmpx::fd {
 
 /// How `q`'s upkeep keeps refreshing monitor `mid`'s proof of life across
@@ -9,7 +11,8 @@ namespace gmpx::fd {
 /// direction breaks the stream.  Purely structural — whether the stream
 /// outpaces the timeout under the current delay model is SteadyGate's
 /// chain condition.  Both timeout detectors' horizons and fast-forward
-/// refreshes reason from this one rule, computed once per pair per walk.
+/// refreshes reason from this one rule, computed once per pair per skip:
+/// the horizon walk records it and the skip hook reuses the record.
 enum Refresh : uint8_t { kNoRefresh, kPing, kAck };
 
 namespace {
@@ -163,6 +166,8 @@ void TimeoutDetector<Model>::reset() {
   for (auto& m : monitors_) monitor_pool_.push_back(std::move(m));
   monitors_.clear();
   monitor_by_id_.clear();
+  walk_.clear();
+  walk_complete_ = false;
   next_wave_ = kNeverTick;  // bind() re-establishes the cadence
 }
 
@@ -194,7 +199,6 @@ void TimeoutDetector<Model>::wave() {
 
 template <typename Model>
 Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
-  if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
   // Per-pair reasoning, valid under any delay model: a pair whose refresh
   // chain provably outpaces its silence bound (steady) is exempt; every
   // other pair pins the horizon — a structurally-severed one at the first
@@ -208,13 +212,20 @@ Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
   // shifts against a skip-free execution: traces diverge in timing while
   // staying per-seed deterministic, the timeout axes' documented
   // wave-elision divergence.)
+  //
+  // Every pair the walk classifies goes into walk_ for the skip hook; the
+  // record counts as complete only if the walk reaches its end.
+  walk_.clear();
+  walk_complete_ = false;
+  walk_now_ = now;
+  if (next_wave_ == kNeverTick) return kNoDetection;  // deployment dead
   const sim::SimWorld& w = *env_.world;
   const Tick wave0 = next_wave_ > now ? next_wave_ : now;
   const SteadyGate gate = Model::gate(w, opts_, wave0);
   Tick best = kNoDetection;
   for (const auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
-    const Model& model = m->model();
+    Model& model = m->model();
     const ProcessId mid = node.id();
     if (w.crashed(mid) || node.has_quit() || !node.admitted()) continue;
     for (ProcessId q : node.view().members()) {
@@ -222,6 +233,7 @@ Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
       Tick seen = model.last(q);
       if (seen == 0) seen = wave0;  // first sighting: grace starts at the next scan
       const Refresh r = refresh_stream(env_, q, mid);
+      walk_.push_back(WalkedPair{&model, q, r});
       // A pair whose upkeep keeps flowing cannot cross its threshold — but
       // only once it is *steady*: its refresh chain outpaces the bound and
       // no scan before the next guaranteed arrival may find the current
@@ -248,6 +260,7 @@ Tick TimeoutDetector<Model>::next_possible_detection(Tick now) const {
       if (fire < best) best = fire;
     }
   }
+  walk_complete_ = true;
   return best;
 }
 
@@ -287,32 +300,32 @@ void TimeoutDetector<Model>::on_fast_forward(Tick from, Tick to) {
   // already replayed at their true ticks and there was no other traffic to
   // model.
   if (!wave_elided) return;
+  // Admitted monitors: the pairs this skip's horizon walk classified, with
+  // their refresh streams (see the class comment for why the record is
+  // complete and current).  Staleness and φ's bound are re-read: replayed
+  // arrivals may have refreshed a pair or tightened its fit since.
+  assert(walk_complete_ && walk_now_ == from && "skip hook without its complete horizon walk");
   const SteadyGate gate = Model::gate(w, opts_, w0);
+  for (const WalkedPair& p : walk_) {
+    Model& model = *p.model;
+    if (model.last(p.q) == 0) model.mark_heard(p.q, w0);
+    if (gate.steady(p.r, model.last(p.q), model.pair_bound(p.q, w))) model.mark_heard(p.q, to);
+  }
+  // A committed-but-unbootstrapped joiner has no view to walk, but members
+  // whose views contain it ping it every wave and its monitor hears them
+  // even before admission.  The elided pings must refresh its table too:
+  // otherwise the first post-admission scan would see stale silences and
+  // suspect healthy members — suspicions a skip-free run never fires.
   for (auto& m : monitors_) {
     const gmp::GmpNode& node = m->node();
-    Model& model = m->model();
     const ProcessId mid = node.id();
-    if (w.crashed(mid) || node.has_quit()) continue;
-    if (node.admitted()) {
-      for (ProcessId q : node.view().members()) {
-        if (q == mid || node.isolated().count(q)) continue;
-        if (model.last(q) == 0) model.mark_heard(q, w0);
-        if (gate.steady(refresh_stream(env_, q, mid), model.last(q), model.pair_bound(q, w)))
-          model.mark_heard(q, to);
-      }
-    } else {
-      // A committed-but-unbootstrapped joiner has no view to walk, but
-      // members whose views contain it ping it every wave and its monitor
-      // hears them even before admission.  The elided pings must refresh
-      // its table too: otherwise the first post-admission scan would see
-      // stale silences and suspect healthy members — suspicions a
-      // skip-free run never fires.
-      for (ProcessId q : *env_.ids) {
-        if (q == mid || node.isolated().count(q)) continue;
-        const Tick seen = model.last(q) == 0 ? w0 : model.last(q);
-        if (gate.steady(refresh_stream(env_, q, mid), seen, model.pair_bound(q, w)))
-          model.mark_heard(q, to);
-      }
+    if (w.crashed(mid) || node.has_quit() || node.admitted()) continue;
+    Model& model = m->model();
+    for (ProcessId q : *env_.ids) {
+      if (q == mid || node.isolated().count(q)) continue;
+      const Tick seen = model.last(q) == 0 ? w0 : model.last(q);
+      if (gate.steady(refresh_stream(env_, q, mid), seen, model.pair_bound(q, w)))
+        model.mark_heard(q, to);
     }
   }
 }

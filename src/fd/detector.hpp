@@ -46,6 +46,10 @@
 
 namespace gmpx::fd {
 
+/// How a peer's upkeep refreshes a monitor's proof of life across an
+/// event-free span (fd/detector.cpp).
+enum Refresh : uint8_t;
+
 /// Which detector a deployment runs.  Threaded through ClusterOptions,
 /// scenario::ExecOptions, the sweep grid and the gmpx_fuzz CLI.
 enum class DetectorKind : uint8_t {
@@ -142,8 +146,11 @@ class FailureDetector {
   /// `now` if later).  The runtime calls this before every skip attempt, so
   /// an implementation that takes a minimum over many candidates should
   /// return as soon as one reaches its floor: the full minimum would be the
-  /// same value.  That shortcut needs the walk to be pure — reading state,
-  /// never changing it.
+  /// same value.  That shortcut needs the walk to be pure — reading
+  /// detector and world state, never changing it — except for a scratch
+  /// record the walk may leave for the on_fast_forward() of the skip it
+  /// was asked for (SimWorld::try_skip calls the two back to back, with
+  /// only the elided events' release and arrival replays between them).
   virtual Tick next_possible_detection(Tick now) const { return now; }
 
   /// Fast-forward reconciliation: the runtime jumped the clock from `from`
@@ -221,6 +228,18 @@ class OracleFd final : public FailureDetector {
 ///     "virtual time & skip horizons" for the exact divergence this is
 ///     allowed to introduce.
 ///
+/// One horizon walk serves the whole skip: the walk records every
+/// (admitted monitor, peer) pair it classifies together with the pair's
+/// refresh stream, and on_fast_forward() replays its marks from that record
+/// instead of walking the views again.  The hook only marks when a wave was
+/// elided, which needs a skip past the pending wave; a walk that returned
+/// early answered that wave tick (or "never", with no wave pending), so a
+/// marking hook always follows a complete walk.  Nothing the record holds
+/// can go stale in between: the only work between walk and hook is the
+/// elided events' release and arrival replays, which move proof-of-life
+/// ticks and φ rings (the hook re-reads both) but no crash, quit or
+/// admission state, view, isolation set or channel cut.
+///
 /// The model supplies the per-pair arithmetic: steadiness is certified
 /// against `pair_bound` (φ's threshold moves with the fit, so its bound is
 /// a monotone lower bound on every value the fit can take — z·min_stddev
@@ -244,6 +263,7 @@ class TimeoutDetector final : public FailureDetector {
     return {gmp::kind::kHeartbeat, gmp::kind::kHeartbeatAck};
   }
 
+  /// Pure but for `walk_`, the pair record on_fast_forward() consumes.
   Tick next_possible_detection(Tick now) const override;
   void on_fast_forward(Tick from, Tick to) override;
   void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) override;
@@ -271,6 +291,18 @@ class TimeoutDetector final : public FailureDetector {
   std::vector<std::unique_ptr<Monitor>> monitor_pool_;  ///< recycled across runs
   std::vector<Monitor*> monitor_by_id_;  ///< dense id -> monitor (borrowed)
   std::vector<ProcessId> targets_;       ///< wave scratch: one sender's ping fan
+  /// One classified (monitor, peer) pair of the last horizon walk.
+  struct WalkedPair {
+    Model* model;
+    ProcessId q;
+    Refresh r;
+  };
+  /// The last horizon walk's pairs, in walk order (capacity kept across
+  /// walks and runs).  `walk_complete_` is false while the walk that wrote
+  /// it returned early; `walk_now_` is the tick it was taken at.
+  mutable std::vector<WalkedPair> walk_;
+  mutable bool walk_complete_ = false;
+  mutable Tick walk_now_ = kNeverTick;
   /// Tick of the next pending wave (kNeverTick once the deployment died
   /// and the cadence self-cancelled).  Horizon arithmetic aligns candidate
   /// detections to this cadence; on_fast_forward re-arms it phase-preserved

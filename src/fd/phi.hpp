@@ -222,14 +222,15 @@ class PhiModel {
       ++p.count;
     }
     p.ring[p.idx] = gap;
-    p.idx = (p.idx + 1) % opts_.window;
+    if (++p.idx == opts_.window) p.idx = 0;
     p.sum += gap;
     p.sumsq += static_cast<uint64_t>(gap) * gap;
     if (rescan_min) {
+      // The ring is full here, so every slot is a live sample and the
+      // minimum needs no walk in arrival order.
       Tick mn = kNeverTick;
       for (uint32_t i = 0; i < p.count; ++i) {
-        const Tick g = p.ring[(p.idx + opts_.window - 1 - i) % opts_.window];
-        if (g < mn) mn = g;
+        if (p.ring[i] < mn) mn = p.ring[i];
       }
       p.min_gap = mn;
     } else if (p.min_gap == 0 || gap < p.min_gap) {

@@ -62,6 +62,7 @@ void SimWorld::reset(uint64_t seed, DelayModel delays) {
   now_ = 0;
   next_seq_ = 0;
   queue_.clear();
+  scripts_.clear();
   // Recycle the node objects; add_actor re-initializes one per process.
   for (auto& n : nodes_) {
     if (n) node_pool_.push_back(std::move(n));
@@ -217,7 +218,7 @@ void SimWorld::crash(ProcessId id) { do_crash(id); }
 
 void SimWorld::crash_at(Tick t, ProcessId id) {
   ++fg_pending_;
-  push_event(t, EventKind::kCrash, id);
+  push_script(t, EventKind::kCrash, id);
 }
 
 void SimWorld::do_crash(ProcessId id) {
@@ -267,7 +268,7 @@ void SimWorld::at(Tick t, std::function<void()> fn) {
     script_slab_.push_back(std::move(fn));
   }
   ++fg_pending_;
-  push_event(t, EventKind::kScript, slot);
+  push_script(t, EventKind::kScript, slot);
 }
 
 void SimWorld::block_channel(ProcessId x, ProcessId y) {
@@ -327,6 +328,17 @@ Tick& SimWorld::channel_front(ProcessId from, ProcessId to) {
 void SimWorld::push_event(Tick time, EventKind kind, uint32_t a, uint64_t gen) {
   queue_.push_back(Event{time, next_seq_++, gen, a, kind});
   std::push_heap(queue_.begin(), queue_.end(), EventCmp{});
+}
+
+void SimWorld::push_script(Tick time, EventKind kind, uint32_t a) {
+  scripts_.push_back(Event{time, next_seq_++, 0, a, kind});
+  std::push_heap(scripts_.begin(), scripts_.end(), EventCmp{});
+}
+
+std::vector<SimWorld::Event>* SimWorld::front_heap() {
+  if (scripts_.empty()) return queue_.empty() ? nullptr : &queue_;
+  if (queue_.empty() || EventCmp{}(queue_.front(), scripts_.front())) return &scripts_;
+  return &queue_;
 }
 
 uint32_t SimWorld::acquire_packet_slot(Packet&& p) {
@@ -597,20 +609,22 @@ void SimWorld::discard_elided(const Event& e) {
 }
 
 bool SimWorld::try_skip() {
-  if (!horizon_fn_ || queue_.empty()) return false;
+  if (!horizon_fn_ || front_heap() != &queue_) return false;
   if (live_foreground(queue_.front())) return false;
   const Tick front_time = queue_.front().time;
   // The skip frontier: the background layer's earliest-effect horizon caps
-  // it, and scripted faults / live protocol work pin it (scan the heap for
-  // the earliest live foreground deadline).  The horizon is queried first,
-  // so an answer at or before the queue front fails out before paying the
-  // O(queue) scan.  A timeout detector never answers below its next wave
-  // tick, and returns that floor as soon as one pair pins it — as unsteady
-  // pairs do under storm delays or a live fault axis — so such spans still
-  // take small skips up to the next wave rather than failing out.
+  // it, and scripted faults / live protocol work pin it.  Scripts and
+  // crashes are all live, so the script heap's front is their earliest
+  // deadline; the main heap is scanned for the earliest live delivery or
+  // timer.  The horizon is queried first, so an answer at or before the
+  // queue front fails out before paying the O(queue) scan.  A timeout
+  // detector never answers below its next wave tick, and returns that
+  // floor as soon as one pair pins it — as unsteady pairs do under storm
+  // delays or a live fault axis — so such spans still take small skips up
+  // to the next wave rather than failing out.
   Tick target = horizon_fn_(now_);
   if (target <= front_time) return false;
-  Tick fg_next = kNeverTick;
+  Tick fg_next = scripts_.empty() ? kNeverTick : scripts_.front().time;
   for (const Event& e : queue_) {
     if (e.time < fg_next && live_foreground(e)) fg_next = e.time;
   }
@@ -649,6 +663,10 @@ bool SimWorld::try_skip() {
 std::string SimWorld::pending_summary() const {
   size_t fg_deliver = 0, bg_events = 0, crashes = 0, scripts = 0, stale = 0;
   size_t live_timers = 0;
+  for (const Event& e : scripts_) {
+    if (e.kind == EventKind::kCrash) ++crashes;
+    else ++scripts;
+  }
   for (const Event& e : queue_) {
     switch (e.kind) {
       case EventKind::kDeliver:
@@ -661,8 +679,8 @@ std::string SimWorld::pending_summary() const {
         else ++stale;
         break;
       }
-      case EventKind::kCrash: ++crashes; break;
-      case EventKind::kScript: ++scripts; break;
+      case EventKind::kCrash:
+      case EventKind::kScript: break;  // on the script heap
       case EventKind::kBgPacket:
       case EventKind::kBgWave: ++bg_events; break;
     }
@@ -685,10 +703,11 @@ std::string SimWorld::pending_summary() const {
 }
 
 bool SimWorld::step() {
-  if (queue_.empty()) return false;
-  Event ev = queue_.front();
-  std::pop_heap(queue_.begin(), queue_.end(), EventCmp{});
-  queue_.pop_back();
+  std::vector<Event>* heap = front_heap();
+  if (!heap) return false;
+  Event ev = heap->front();
+  std::pop_heap(heap->begin(), heap->end(), EventCmp{});
+  heap->pop_back();
   assert(ev.time >= now_ && "time went backwards");
   now_ = ev.time;
   dispatch(ev);
@@ -699,7 +718,7 @@ bool SimWorld::run_until_idle(uint64_t max_events) {
   for (uint64_t i = 0; i < max_events; ++i) {
     if (!step()) return true;
   }
-  return queue_.empty();
+  return queue_.empty() && scripts_.empty();
 }
 
 bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
@@ -717,7 +736,7 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
       ++steps;
       if (!step()) return true;
     }
-    if (queue_.empty()) return true;
+    if (queue_.empty() && scripts_.empty()) return true;
     // Only background events remain.  A horizon-capable background layer
     // answers the quiescence question exactly: kNeverTick certifies that
     // no detection can ever fire (protocol idle now — the remaining upkeep
@@ -750,7 +769,7 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
     quiesce_dirty_ = false;
     const Tick deadline = now_ + settle;
     bool busy = false;
-    while (!queue_.empty() && queue_.front().time <= deadline && !busy) {
+    while (next_event_time() <= deadline && !busy) {
       if (steps++ >= max_events) return false;
       step();
       busy = fg_pending_ > 0 || quiesce_dirty_;
@@ -760,7 +779,8 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
 }
 
 void SimWorld::run_until(Tick t) {
-  while (!queue_.empty() && queue_.front().time <= t) step();
+  while (next_event_time() <= t && step()) {
+  }
   if (now_ < t) now_ = t;
 }
 

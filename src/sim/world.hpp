@@ -13,8 +13,8 @@
 //   * Message metering — benches regenerate the S7.2 complexity rows by
 //     counting real sends, grouped by packet kind.
 //   * Allocation-free hot path — the event loop is the throughput floor of
-//     every fuzz sweep and bench, so events are typed POD records in a
-//     vector-backed binary heap, packets live in a recycled slab, timers
+//     every fuzz sweep and bench, so events are typed POD records in
+//     vector-backed binary heaps, packets live in a recycled slab, timers
 //     cancel via generation counters, and channel state is keyed by a
 //     packed 64-bit id in hash maps.  No per-event heap allocation occurs
 //     once the pools are warm.
@@ -320,10 +320,11 @@ class SimWorld {
   /// the horizon provider's answer and the first live foreground deadline
   /// — lies beyond it, elide everything before the frontier and jump the
   /// clock there.  Elided events are popped off the heap front in (tick,
-  /// seq) order at O(elided · log q); only the scan for the first live
-  /// foreground deadline still reads the whole queue.  Returns true if the
-  /// clock moved.  Requires a horizon provider; the run loops call this,
-  /// and tests may.
+  /// seq) order at O(elided · log q).  Scripts and crashes sit in their own
+  /// heap, whose front alone pins the frontier; only the scan for the
+  /// first live foreground deadline among deliveries and timers still
+  /// reads the whole main heap.  Returns true if the clock moved.
+  /// Requires a horizon provider; the run loops call this, and tests may.
   bool try_skip();
 
   /// Fast-forward telemetry since construction/reset: simulated ticks
@@ -386,7 +387,11 @@ class SimWorld {
   /// Earliest queued event time (kNeverTick when nothing is queued).  The
   /// GroupMux cohort scheduler orders runnable groups by this without
   /// popping anything.
-  Tick next_event_time() const { return queue_.empty() ? kNeverTick : queue_.front().time; }
+  Tick next_event_time() const {
+    const Tick q = queue_.empty() ? kNeverTick : queue_.front().time;
+    const Tick s = scripts_.empty() ? kNeverTick : scripts_.front().time;
+    return q < s ? q : s;
+  }
 
   /// Queued foreground work remains (deliveries of protocol kinds, scripts,
   /// crashes, armed non-background timers).  False means only detector
@@ -394,7 +399,7 @@ class SimWorld {
   bool foreground_pending() const { return fg_pending_ != 0; }
 
   /// Total queued events (foreground + background + stale timer entries).
-  size_t queued_events() const { return queue_.size(); }
+  size_t queued_events() const { return queue_.size() + scripts_.size(); }
 
   /// Current latency model.
   const DelayModel& delays() const { return delays_; }
@@ -493,6 +498,11 @@ class SimWorld {
   /// timer slot, wave fan) without running it.
   void discard_elided(const Event& e);
   void push_event(Tick time, EventKind kind, uint32_t a, uint64_t gen = 0);
+  /// Queue a script or crash on the script heap (same seq counter).
+  void push_script(Tick time, EventKind kind, uint32_t a);
+  /// The heap holding the (tick, seq)-least queued event; nullptr when
+  /// both are empty.
+  std::vector<Event>* front_heap();
   uint32_t acquire_packet_slot(Packet&& p);
   void release_packet_slot(uint32_t slot);
   void dispatch(Event ev);
@@ -507,10 +517,21 @@ class SimWorld {
 
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
-  // Explicit binary heap (std::push_heap/pop_heap with EventCmp — the same
-  // algorithm std::priority_queue uses, but clearable with capacity kept,
-  // which reset() needs).
+  // The event queue is two explicit binary heaps (std::push_heap/pop_heap
+  // with EventCmp — the same algorithm std::priority_queue uses, but
+  // clearable with capacity kept, which reset() needs):
+  //   * `scripts_` holds kScript and kCrash events.  They are always live
+  //     foreground work and never elided, and a soak run queues all its
+  //     client ops up front, so they would otherwise make up most of the
+  //     heap that every push, pop and skip-frontier scan walks;
+  //   * `queue_` holds everything else: deliveries, timers, background
+  //     frames and waves.
+  // Both draw their tie-break from the one `next_seq_` counter, so
+  // (tick, seq) is still a single total order over every queued event:
+  // step() dispatches the lesser of the two fronts, exactly the event one
+  // merged heap would pop.
   std::vector<Event> queue_;
+  std::vector<Event> scripts_;
   // Dense process table indexed by id (ids are small dense integers; the
   // scenario generator allocates joiner ids contiguously after 0..n-1).
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/flat_set.hpp"
 
@@ -106,7 +107,22 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
   }
 
   // ---- APP-R2: no phantom applies/reads, monotone per-replica applies ----
-  FlatMap<uint64_t, uint64_t> last_applied;  // pack(actor, key) -> newest wid
+  // The newest id each replica applied per key lives in an open-addressed
+  // table keyed by pack(actor, key): the keys arrive in no order, so a
+  // sorted map would pay a middle insert and a branchy search per apply.
+  // A slot whose `last` is 0 is empty, which is also the value an absent
+  // key reads as; only ids above 0 are ever stored.  The table is at most
+  // half full, so every probe ends.
+  struct LastApplied {
+    uint64_t actor_key;
+    uint64_t last;
+  };
+  size_t applies = 0;
+  for (const AppEvent& e : ev) applies += e.kind == AppEventKind::kApply;
+  unsigned bits = 4;
+  while ((size_t{1} << bits) < 2 * applies) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<LastApplied> last_applied(mask + 1, LastApplied{0, 0});
   for (const AppEvent& e : ev) {
     if (e.kind == AppEventKind::kApply) {
       auto it = commits.find(e.id);
@@ -115,13 +131,18 @@ trace::CheckResult check_app(const app::AppTrace& app_trace, const trace::Record
                                id_str(e.id) + " for key " + std::to_string(e.key));
         continue;
       }
-      uint64_t& last = last_applied[pack(e.actor, e.key)];
-      if (e.id <= last) {
+      const uint64_t actor_key = pack(e.actor, e.key);
+      size_t i = (actor_key * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+      while (last_applied[i].last != 0 && last_applied[i].actor_key != actor_key) {
+        i = (i + 1) & mask;
+      }
+      LastApplied& slot = last_applied[i];
+      if (e.id <= slot.last) {
         r.violations.push_back("APP-R2: p" + std::to_string(e.actor) +
                                " applied non-monotone write " + id_str(e.id) + " after " +
-                               id_str(last) + " for key " + std::to_string(e.key));
+                               id_str(slot.last) + " for key " + std::to_string(e.key));
       } else {
-        last = e.id;
+        slot = LastApplied{actor_key, e.id};
       }
     } else if (e.kind == AppEventKind::kRead && e.id != 0) {
       auto it = commits.find(e.id);

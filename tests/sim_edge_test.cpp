@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -704,6 +705,160 @@ TEST(SimEdge, SkipReplaysElidedArrivalsInTickSeqOrderAndKeepsTheHeapOrdered) {
       {500, 0}, {550, 20}, {600, 0}, {650, 20}, {700, 0}};
   EXPECT_EQ(log, want_dispatch);
   EXPECT_EQ(w.queued_events(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Queue order across event kinds: scripts and crashes against deliveries,
+// timers and background traffic.  Dispatch is one (tick, seq) order over
+// every queued event, whatever container holds which kind.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One same-tick mix of every event kind, pushed in the order `plan`
+/// names: 's' script, 'c' crash (of process 2), 'd' protocol delivery
+/// 0 -> 1, 't' process timer, 'e' environment timer, 'b' background frame
+/// 1 -> 0 (its own channel, clear of the delivery's FIFO clamp).  Returns
+/// the dispatch log.
+std::vector<char> dispatch_mix(const std::string& plan) {
+  SimWorld w(1, DelayModel{10, 10});
+  Probe a, b, c;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
+  w.add_actor(2, &c);
+  w.set_background_kinds(20, 21);
+  std::vector<char> log;
+  w.set_background_sink([&](ProcessId, ProcessId, uint32_t) { log.push_back('b'); });
+  w.set_crash_hook([&](ProcessId, Tick) { log.push_back('c'); });
+  b.on_recv = [&](Context&, const Packet&) { log.push_back('d'); };
+  w.start();
+  Context& ctx0 = *w.context_of(0);
+  for (char k : plan) {
+    switch (k) {
+      case 's': w.at(10, [&] { log.push_back('s'); }); break;
+      case 'c': w.crash_at(10, 2); break;
+      case 'd': ctx0.send(make(1)); break;
+      case 't': ctx0.set_timer(10, [&] { log.push_back('t'); }); break;
+      case 'e': w.set_environment_timer(10, [&] { log.push_back('e'); }); break;
+      case 'b': w.context_of(1)->send_background(0, 20); break;
+    }
+  }
+  EXPECT_TRUE(w.run_until_idle());
+  EXPECT_EQ(w.now(), 10u);
+  return log;
+}
+
+}  // namespace
+
+TEST(SimEdge, ScriptsAndCrashesDispatchInSeqOrderAmongSameTickEvents) {
+  // Every kind lands at tick 10; whichever order they were pushed in is
+  // the order they run in, scripts and crashes first or last alike.
+  for (const std::string plan : {"scdtebs", "dtebscs", "sdcteb", "bdtecss", "csbetd"}) {
+    const std::vector<char> log = dispatch_mix(plan);
+    EXPECT_EQ(std::string(log.begin(), log.end()), plan) << plan;
+  }
+}
+
+TEST(SimEdge, QueueIntrospectionCountsScriptsCrashesAndTheRest) {
+  SimWorld w(1, DelayModel{5, 5});
+  Probe a, b;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
+  w.start();
+  EXPECT_EQ(w.next_event_time(), kNeverTick);
+  EXPECT_EQ(w.queued_events(), 0u);
+  w.at(300, [] {});
+  EXPECT_EQ(w.next_event_time(), 300u);  // a script alone names the front
+  EXPECT_EQ(w.queued_events(), 1u);
+  w.context_of(0)->set_timer(200, [] {});
+  EXPECT_EQ(w.next_event_time(), 200u);  // an earlier timer undercuts it
+  w.crash_at(100, 1);
+  EXPECT_EQ(w.next_event_time(), 100u);  // an earlier crash undercuts both
+  w.context_of(0)->send(make(1));        // delivery at tick 5
+  EXPECT_EQ(w.next_event_time(), 5u);
+  EXPECT_EQ(w.queued_events(), 4u);
+  EXPECT_NE(w.pending_summary().find("1 protocol deliveries, 1 scripts, 1 crashes, 1 live timers"),
+            std::string::npos)
+      << w.pending_summary();
+  ASSERT_TRUE(w.step());  // the delivery
+  ASSERT_TRUE(w.step());  // the crash
+  EXPECT_EQ(w.next_event_time(), 200u);
+  EXPECT_EQ(w.queued_events(), 2u);
+  w.run_until(250);
+  EXPECT_EQ(w.next_event_time(), 300u);
+  EXPECT_EQ(w.queued_events(), 1u);
+  EXPECT_NE(w.pending_summary().find("0 protocol deliveries, 1 scripts, 0 crashes"),
+            std::string::npos)
+      << w.pending_summary();
+  ASSERT_TRUE(w.run_until_idle());
+  EXPECT_EQ(w.now(), 300u);
+  EXPECT_EQ(w.queued_events(), 0u);
+}
+
+TEST(SimEdge, ResetDropsQueuedScriptsAndCrashes) {
+  SimWorld w(1);
+  Probe a, b;
+  w.add_actor(0, &a);
+  w.add_actor(1, &b);
+  w.start();
+  for (Tick t : {50, 60, 70}) w.at(t, [] { FAIL() << "script outlived reset"; });
+  w.crash_at(40, 1);
+  w.context_of(0)->set_timer(30, [] { FAIL() << "timer outlived reset"; });
+  ASSERT_EQ(w.queued_events(), 5u);
+  w.reset(2);
+  EXPECT_EQ(w.queued_events(), 0u);
+  EXPECT_EQ(w.next_event_time(), kNeverTick);
+  EXPECT_NE(w.pending_summary().find("0 scripts, 0 crashes"), std::string::npos);
+  Probe c, d;
+  w.add_actor(0, &c);
+  w.add_actor(1, &d);
+  w.start();
+  ASSERT_TRUE(w.run_until_idle());
+  EXPECT_EQ(w.now(), 0u);
+  EXPECT_FALSE(w.crashed(1));
+}
+
+TEST(SimEdge, FarScriptAlonePinsTheSkipFrontier) {
+  // A script due before the next background event refuses the skip; with
+  // it gone, the only foreground work is a script far out and a crash past
+  // it, and each skip jumps straight to the next of them, whichever was
+  // scheduled first.
+  for (bool crash_first : {false, true}) {
+    SimWorld w(1, DelayModel{1, 1});
+    Probe a, b;
+    w.add_actor(0, &a);
+    w.add_actor(1, &b);
+    w.set_background_kinds(20, 21);
+    w.set_background_sink([](ProcessId, ProcessId, uint32_t) {});
+    w.start();
+    TestCadence cadence{&w, 50};
+    cadence.arm(50);
+    w.set_horizon_provider([](Tick) { return kNeverTick; });
+    w.set_skip_hook([&](Tick, Tick to) { cadence.on_skip(to); });
+    bool ran = false;
+    if (crash_first) w.crash_at(90'000, 1);
+    w.at(40'000, [&] { ran = true; });
+    w.at(10, [] {});  // due before the first beat (50)
+    if (!crash_first) w.crash_at(90'000, 1);
+    EXPECT_FALSE(w.try_skip());
+    EXPECT_EQ(w.now(), 0u);
+    ASSERT_TRUE(w.step());
+    EXPECT_EQ(w.now(), 10u);
+    ASSERT_TRUE(w.try_skip());
+    EXPECT_EQ(w.now(), 40'000u);
+    EXPECT_EQ(w.skips(), 1u);
+    EXPECT_FALSE(ran);
+    EXPECT_FALSE(w.try_skip());  // the script is the front now
+    ASSERT_TRUE(w.step());
+    EXPECT_TRUE(ran);
+    ASSERT_TRUE(w.try_skip());
+    EXPECT_EQ(w.now(), 90'000u);
+    EXPECT_FALSE(w.crashed(1));
+    ASSERT_TRUE(w.step());
+    EXPECT_TRUE(w.crashed(1));
+    EXPECT_EQ(w.skips(), 2u);
+    EXPECT_TRUE(cadence.fired.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
