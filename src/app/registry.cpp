@@ -4,6 +4,12 @@
 
 namespace gmpx::app {
 
+void Registry::reset() {
+  data_.clear();
+  wseq_ = 0;
+  wseq_view_ = 0;
+}
+
 bool Registry::client_write(uint32_t key) {
   Context* ctx = ctx_();
   if (!ctx || !group_->is_coordinator()) return false;

@@ -45,6 +45,10 @@ class Registry {
   Registry(group::ProcessGroup* group, AppTrace* trace, ContextProvider ctx)
       : group_(group), trace_(trace), ctx_(std::move(ctx)) {}
 
+  /// Forget the previous run's replica (pooled hosts): back to the
+  /// constructed state, with the table and payload buffer keeping capacity.
+  void reset();
+
   /// Client write request routed to this member.  Accepted only at the
   /// coordinator (the write primary); returns false anywhere else — the
   /// soak driver counts that as the service being unavailable for writes.

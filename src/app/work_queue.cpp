@@ -1,11 +1,23 @@
 #include "app/work_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "app/text_fields.hpp"
 
 namespace gmpx::app {
+
+void WorkQueue::reset() {
+  tasks_.clear();
+  open_.clear();
+  mine_.clear();
+  tseq_ = 0;
+  tseq_view_ = 0;
+  aseq_ = 0;
+  aseq_view_ = 0;
+  rr_ = 0;
+}
 
 uint64_t WorkQueue::next_stamp(ViewVersion v, uint32_t& seq, ViewVersion& seq_view) {
   if (v != seq_view) {
@@ -13,6 +25,18 @@ uint64_t WorkQueue::next_stamp(ViewVersion v, uint32_t& seq, ViewVersion& seq_vi
     seq = 0;
   }
   return make_app_id(v, ++seq);
+}
+
+void WorkQueue::refile(uint64_t tid, const TaskRecord& t, bool was_open, bool was_mine,
+                       ProcessId self) {
+  if (const bool open = is_open(t); open != was_open) {
+    if (open) open_.insert(tid);
+    else open_.erase(tid);
+  }
+  if (const bool mine = is_mine(t, self); mine != was_mine) {
+    if (mine) mine_.insert(tid);
+    else mine_.erase(tid);
+  }
 }
 
 bool WorkQueue::client_submit() {
@@ -23,8 +47,12 @@ bool WorkQueue::client_submit() {
   AppEvent& e = trace_->record(ctx->now(), AppEventKind::kSubmit, ctx->self());
   e.id = tid;
   e.view = v;
-  TaskRecord& t = tasks_[tid];  // local accept: no kMirror (that's replication)
+  auto [it, inserted] = tasks_.try_emplace(tid);  // local accept: no kMirror (that's replication)
+  TaskRecord& t = it->second;
+  const bool was_open = !inserted && is_open(t);
+  const bool was_mine = !inserted && is_mine(t, ctx->self());
   t.state = 1;
+  refile(tid, t, was_open, was_mine, ctx->self());
   out_.clear();
   out_ += "s ";
   append_u64(out_, tid);
@@ -33,10 +61,12 @@ bool WorkQueue::client_submit() {
   return true;
 }
 
-void WorkQueue::merge(Context& ctx, uint64_t tid, uint8_t state, ProcessId worker,
-                      uint64_t astamp) {
-  auto [it, inserted] = tasks_.try_emplace(tid);
+void WorkQueue::merge(Context& ctx, Table::iterator it, bool inserted, uint8_t state,
+                      ProcessId worker, uint64_t astamp) {
+  const uint64_t tid = it->first;
   TaskRecord& t = it->second;
+  const bool was_open = !inserted && is_open(t);
+  const bool was_mine = !inserted && is_mine(t, ctx.self());
   if (inserted) {
     AppEvent& e = trace_->record(ctx.now(), AppEventKind::kMirror, ctx.self());
     e.id = tid;
@@ -53,12 +83,13 @@ void WorkQueue::merge(Context& ctx, uint64_t tid, uint8_t state, ProcessId worke
     e.id = tid;
     e.view = group_->view().version();
   }
+  refile(tid, t, was_open, was_mine, ctx.self());
 }
 
 void WorkQueue::maybe_execute(Context& ctx) {
   const ProcessId self = ctx.self();
-  for (auto& [tid, t] : tasks_) {
-    if (t.state != 2 || t.worker != self || t.executed_here) continue;
+  for (uint64_t tid : mine_) {
+    TaskRecord& t = tasks_.find(tid)->second;
     t.executed_here = true;
     AppEvent& ex = trace_->record(ctx.now(), AppEventKind::kExec, self);
     ex.id = tid;
@@ -70,43 +101,49 @@ void WorkQueue::maybe_execute(Context& ctx) {
       d.id = tid;
       d.view = group_->view().version();
     }
+    open_.erase(tid);
     out_.clear();
     out_ += "d ";
     append_u64(out_, tid);
     group_->broadcast(ctx, out_);
   }
+  mine_.clear();  // every item it held is executed and done now
 }
 
 void WorkQueue::dispatch() {
   Context* ctx = ctx_();
   if (!ctx || !group_->is_coordinator()) return;
   const gmp::View& view = group_->view();
+  if (view.members().empty()) return;  // no assignment candidates
   const ViewVersion v = view.version();
+  const ProcessId self = ctx->self();
   std::vector<ProcessId>& cand = cand_;
-  cand.assign(view.members().begin(), view.members().end());
-  std::sort(cand.begin(), cand.end());
-  if (cand.size() > 1) {
-    cand.erase(std::remove(cand.begin(), cand.end(), ctx->self()), cand.end());
-  }
-  if (cand.empty()) return;
-  for (auto& [tid, t] : tasks_) {
-    if (t.state == 3) continue;
+  cand.clear();  // built on the first assignment: the view's members, ascending
+  for (uint64_t tid : open_) {
+    TaskRecord& t = tasks_.find(tid)->second;
     if (t.state == 2) {
       if (view.contains(t.worker)) continue;  // claim still valid in this view
-      AppEvent& rc = trace_->record(ctx->now(), AppEventKind::kReclaim, ctx->self());
+      AppEvent& rc = trace_->record(ctx->now(), AppEventKind::kReclaim, self);
       rc.id = tid;
       rc.peer = t.worker;
       rc.view = v;
     }
+    if (cand.empty()) {
+      cand.assign(view.members().begin(), view.members().end());
+      std::sort(cand.begin(), cand.end());
+      if (cand.size() > 1) cand.erase(std::remove(cand.begin(), cand.end(), self), cand.end());
+    }
     const ProcessId w = cand[rr_++ % cand.size()];
     const uint64_t stamp = next_stamp(v, aseq_, aseq_view_);
-    AppEvent& as = trace_->record(ctx->now(), AppEventKind::kAssign, ctx->self());
+    AppEvent& as = trace_->record(ctx->now(), AppEventKind::kAssign, self);
     as.id = tid;
     as.peer = w;
     as.view = v;
+    const bool was_mine = is_mine(t, self);
     if (t.state < 2) t.state = 2;
     t.worker = w;
     t.astamp = stamp;
+    refile(tid, t, /*was_open=*/true, was_mine, self);
     out_.clear();
     out_ += "a ";
     append_u64(out_, tid);
@@ -129,23 +166,36 @@ bool WorkQueue::handle(ProcessId /*from*/, std::string_view payload) {
   uint64_t tid = 0;
   switch (tag) {
     case 's':
-      if (in.next(tid)) merge(*ctx, tid, 1, kNilId, 0);
+      if (in.next(tid)) {
+        auto [it, inserted] = tasks_.try_emplace(tid);
+        merge(*ctx, it, inserted, 1, kNilId, 0);
+      }
       break;
     case 'd':
-      if (in.next(tid)) merge(*ctx, tid, 3, kNilId, 0);
+      if (in.next(tid)) {
+        auto [it, inserted] = tasks_.try_emplace(tid);
+        merge(*ctx, it, inserted, 3, kNilId, 0);
+      }
       break;
     case 'a': {
       uint64_t worker = 0, stamp = 0;
       if (in.next(tid) && in.next(worker) && in.next(stamp)) {
-        merge(*ctx, tid, 2, static_cast<ProcessId>(worker), stamp);
+        auto [it, inserted] = tasks_.try_emplace(tid);
+        merge(*ctx, it, inserted, 2, static_cast<ProcessId>(worker), stamp);
         maybe_execute(*ctx);
       }
       break;
     }
     default: {  // 'Q'
+      // One forward pass: each tid's search starts past the previous one's
+      // entry (an out-of-order tid falls back to a binary search).
       uint64_t state = 0, worker = 0, stamp = 0;
+      Table::iterator hint = tasks_.begin();
       while (in.next(tid) && in.next(state) && in.next(worker) && in.next(stamp)) {
-        merge(*ctx, tid, static_cast<uint8_t>(state), static_cast<ProcessId>(worker), stamp);
+        auto [it, inserted] = tasks_.try_emplace_from(hint, tid);
+        merge(*ctx, it, inserted, static_cast<uint8_t>(state), static_cast<ProcessId>(worker),
+              stamp);
+        hint = std::next(it);
       }
       maybe_execute(*ctx);
       dispatch();  // the merge may have surfaced unassigned/orphaned items
@@ -177,13 +227,6 @@ void WorkQueue::sync_round() {
   }
   dispatch();
   maybe_execute(*ctx);
-}
-
-bool WorkQueue::all_done() const {
-  for (const auto& [tid, t] : tasks_) {
-    if (t.state != 3) return false;
-  }
-  return true;
 }
 
 }  // namespace gmpx::app

@@ -25,6 +25,16 @@
 // Outgoing payloads are built in one reused buffer and incoming ones are
 // parsed in place from the handler's view (app/text_fields.hpp); the text
 // format is unchanged.
+//
+// Per-message work scales with the items a message touches, not with the
+// table: two ascending tid sets index the replicated table.  `open_` holds
+// every item not yet done (what dispatch() visits; all_done() is its
+// emptiness) and `mine_` every item assigned to this member and not yet
+// executed here (what maybe_execute() visits).  They mirror `tasks_`
+// exactly: every write to a record re-files its tid (refile()), so a walk
+// of either set visits, in tid order, the records a full-table walk with
+// the same filter would.  A 'Q' table merges in one forward pass against
+// the sorted local table (sync_round() sends tids ascending).
 #pragma once
 
 #include <cstdint>
@@ -57,6 +67,10 @@ class WorkQueue {
   WorkQueue(group::ProcessGroup* group, AppTrace* trace, ContextProvider ctx)
       : group_(group), trace_(trace), ctx_(std::move(ctx)) {}
 
+  /// Forget the previous run's table and cursors (pooled hosts): back to
+  /// the constructed state, with every table and buffer keeping capacity.
+  void reset();
+
   /// Client submit routed to this member.  Accepted only at the
   /// coordinator; assigns the fresh item immediately.  Returns false
   /// elsewhere (counted as unavailable by the soak driver).
@@ -80,14 +94,25 @@ class WorkQueue {
   void sync_round();
 
   /// True when every known task reached done.
-  bool all_done() const;
+  bool all_done() const { return open_.empty(); }
 
   /// The replicated task table, ascending by tid.
   const FlatMap<uint64_t, TaskRecord>& tasks() const { return tasks_; }
 
  private:
-  /// Merge one remote observation into the local table (monotone).
-  void merge(Context& ctx, uint64_t tid, uint8_t state, ProcessId worker, uint64_t astamp);
+  using Table = FlatMap<uint64_t, TaskRecord>;
+
+  static bool is_open(const TaskRecord& t) { return t.state != 3; }
+  static bool is_mine(const TaskRecord& t, ProcessId self) {
+    return t.state == 2 && t.worker == self && !t.executed_here;
+  }
+  /// Re-file `tid` in open_/mine_ after its record changed; `was_open` and
+  /// `was_mine` are its memberships before the change.
+  void refile(uint64_t tid, const TaskRecord& t, bool was_open, bool was_mine, ProcessId self);
+  /// Merge one remote observation into the local table (monotone); `it` is
+  /// the item's entry, `inserted` whether try_emplace just created it.
+  void merge(Context& ctx, Table::iterator it, bool inserted, uint8_t state, ProcessId worker,
+             uint64_t astamp);
   /// Run items assigned to this member that it has not executed yet.
   void maybe_execute(Context& ctx);
   uint64_t next_stamp(ViewVersion v, uint32_t& seq, ViewVersion& seq_view);
@@ -95,7 +120,9 @@ class WorkQueue {
   group::ProcessGroup* group_;
   AppTrace* trace_;
   ContextProvider ctx_;
-  FlatMap<uint64_t, TaskRecord> tasks_;
+  Table tasks_;
+  FlatSet<uint64_t> open_;  ///< tids whose state is not done, ascending
+  FlatSet<uint64_t> mine_;  ///< tids assigned here, not yet executed, ascending
   std::string out_;  ///< outgoing payload, rebuilt per send (capacity reused)
   uint32_t tseq_ = 0;  ///< per-view submit sequence (coordinator only)
   ViewVersion tseq_view_ = 0;

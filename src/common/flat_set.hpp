@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -84,8 +85,31 @@ class FlatMap {
     return {it, true};
   }
 
+  /// try_emplace for a batch of keys that mostly arrive ascending: the
+  /// search starts at `hint` (one past the previous key's entry) and walks
+  /// forward, so a sorted batch merges against the table in one pass; a key
+  /// below the hint falls back to the binary search of the prefix.
+  template <typename... Args>
+  std::pair<iterator, bool> try_emplace_from(iterator hint, const K& k, Args&&... args) {
+    if (v_.capacity() == 0) return try_emplace(k, std::forward<Args>(args)...);
+    auto it = hint;
+    if (it != v_.begin() && !(std::prev(it)->first < k)) {
+      it = std::lower_bound(v_.begin(), it, k, key_less);
+    } else {
+      while (it != v_.end() && it->first < k) ++it;
+    }
+    if (it != v_.end() && it->first == k) return {it, false};
+    it = v_.emplace(it, std::piecewise_construct, std::forward_as_tuple(k),
+                    std::forward_as_tuple(std::forward<Args>(args)...));
+    return {it, true};
+  }
+
   V& operator[](const K& k) { return try_emplace(k).first->second; }
 
+  iterator find(const K& k) {
+    auto it = std::lower_bound(v_.begin(), v_.end(), k, key_less);
+    return it != v_.end() && it->first == k ? it : v_.end();
+  }
   const_iterator find(const K& k) const {
     auto it = std::lower_bound(v_.begin(), v_.end(), k, key_less);
     return it != v_.end() && it->first == k ? it : v_.end();
@@ -93,6 +117,7 @@ class FlatMap {
 
   bool empty() const { return v_.empty(); }
   size_t size() const { return v_.size(); }
+  void clear() { v_.clear(); }  // keeps capacity
 
   iterator begin() { return v_.begin(); }
   iterator end() { return v_.end(); }

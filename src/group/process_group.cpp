@@ -8,6 +8,12 @@ ProcessGroup::ProcessGroup(gmp::GmpNode* node) : node_(node) {
   node_->set_listener(this);
 }
 
+void ProcessGroup::rebind(gmp::GmpNode* node) {
+  node_ = node;
+  node_->set_listener(this);
+  held_.clear();
+}
+
 void ProcessGroup::send(Context& ctx, ProcessId to, std::string_view payload) {
   Writer w;
   w.u32(node_->view().version());

@@ -49,6 +49,11 @@ class ProcessGroup final : public gmp::ViewListener {
   /// itself as the node's view listener.
   explicit ProcessGroup(gmp::GmpNode* node);
 
+  /// Re-bind a pooled handle to `node` for a new run: installs itself as
+  /// the node's view listener and drops payloads held from the previous
+  /// run.  The registered handlers stay.
+  void rebind(gmp::GmpNode* node);
+
   /// Called on every installed view, in the agreed order.
   void on_view_change(ViewHandler h) { view_handler_ = std::move(h); }
 
@@ -72,6 +77,9 @@ class ProcessGroup final : public gmp::ViewListener {
 
   /// The underlying membership endpoint.
   gmp::GmpNode& node() { return *node_; }
+
+  /// Payloads held for a view not installed yet.
+  size_t held() const { return held_.size(); }
 
  private:
   // gmp::ViewListener

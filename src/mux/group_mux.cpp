@@ -37,17 +37,17 @@ constexpr scenario::Profile kBaseProfiles[] = {
 };
 
 /// One pooled deployment slot, held only while its group runs.  The Cluster
-/// persists across occupancies (reset() is capacity-preserving); everything
-/// else is per-group state rebuilt on create.  Slots live behind unique_ptr
-/// so addresses stay stable for the reference captures in StagedRun and
-/// SoakHost.
+/// and the SoakHost persist across occupancies (both reset in place,
+/// keeping capacity); the rest is per-group state rebuilt on create.  Slots
+/// live behind unique_ptr so addresses stay stable for the reference
+/// captures in StagedRun and SoakHost.
 struct GroupSlot {
   harness::Cluster cluster{harness::ClusterOptions{}};
+  soak::SoakHost host;
   const GroupSpec* spec = nullptr;
   scenario::Schedule sched;
   soak::Workload workload;
   scenario::ExecOptions exec;
-  std::optional<soak::SoakHost> host;
   std::optional<scenario::StagedRun> run;
 };
 
@@ -157,8 +157,8 @@ class MuxEngine {
       for (soak::WorkloadOp& op : slot.workload.ops) {
         op.client = (op.client + spec.gid) % sessions;
       }
-      slot.host.emplace(slot.workload, opts_.sopts);
-      soak::SoakHost* h = &*slot.host;
+      slot.host.reset(slot.workload, opts_.sopts);
+      soak::SoakHost* h = &slot.host;
       slot.exec.on_pre_start = [h](harness::Cluster& c) { h->attach(c); };
       slot.exec.on_quiesced = [h](harness::Cluster& c, int pass) {
         return h->on_quiesced(c, pass);
@@ -204,7 +204,6 @@ class MuxEngine {
     const int32_t idx = directory_.get(gid);
     GroupSlot& slot = *slots_[static_cast<size_t>(idx - 1)];
     slot.run.reset();
-    slot.host.reset();
     slot.exec.on_pre_start = nullptr;  // the hooks borrow the host
     slot.exec.on_quiesced = nullptr;
     directory_.at(gid) = 0;
@@ -226,8 +225,8 @@ class MuxEngine {
     bool ok = r.ok();
     double availability = 0.0;
     std::string app_msg;
-    if (slot.host) {
-      soak::SoakHost& host = *slot.host;
+    if (opts_.with_sessions) {
+      soak::SoakHost& host = slot.host;
       res_.ops_attempted += host.attempted();
       res_.ops_rejected += host.rejected();
       res_.sync_passes += host.sync_passes();
@@ -249,15 +248,15 @@ class MuxEngine {
            << " seed=" << spec.seed << "): " << r.message() << app_msg << "\n"
            << "schedule:\n"
            << scenario::encode_schedule(slot.sched);
-        if (slot.host) os << "workload:\n" << soak::encode(slot.workload);
+        if (opts_.with_sessions) os << "workload:\n" << soak::encode(slot.workload);
         res_.first_failure = os.str();
       }
     }
 
     if (opts_.on_group) {
-      const GroupOutcome out{spec.gid,     spec.seed, spec.profile,       slot.sched,
-                             slot.workload, r,         slot.host ? app_msg.empty() : true,
-                             availability};
+      const bool app_ok = opts_.with_sessions ? app_msg.empty() : true;
+      const GroupOutcome out{spec.gid, spec.seed, spec.profile, slot.sched, slot.workload, r,
+                             app_ok,   availability};
       opts_.on_group(out);
     }
   }

@@ -80,6 +80,8 @@ struct StagedRun::Impl {
   };
   std::vector<FaultSpan> fault_spans;
   std::vector<ProcessId> joiners;
+  /// Partition scripts' scratch: side B of the cut being applied.
+  std::vector<ProcessId> rest;
 
   enum class Stage : uint8_t { kFresh, kRunning, kDone };
   Stage stage = Stage::kFresh;
@@ -160,7 +162,7 @@ struct StagedRun::Impl {
           // fits the std::function small-buffer, so scripting the cut never
           // allocates.)
           world.at(e.at, [this, side = &e.group] {
-            std::vector<ProcessId> rest;
+            rest.clear();
             for (ProcessId p : cluster.ids()) {
               if (!std::count(side->begin(), side->end(), p)) rest.push_back(p);
             }
@@ -194,7 +196,7 @@ struct StagedRun::Impl {
           // `group` -> rest stops flowing; the reverse direction keeps going.
           // Same shape as kPartition, but through the one-way cut API.
           world.at(e.at, [this, side = &e.group] {
-            std::vector<ProcessId> rest;
+            rest.clear();
             for (ProcessId p : cluster.ids()) {
               if (!std::count(side->begin(), side->end(), p)) rest.push_back(p);
             }

@@ -11,6 +11,7 @@
 #include "harness/cluster.hpp"
 #include "mux/group_mux.hpp"
 #include "scenario/minimizer.hpp"
+#include "soak/host.hpp"
 #include "soak/runner.hpp"
 
 namespace gmpx::scenario {
@@ -252,11 +253,13 @@ SweepResult run_sweep(const SweepOptions& opts) {
     run.aborted_joins = r.aborted_joins;
   };
   auto worker = [&](SpscRing* ring) {
-    // One pooled cluster per worker thread, reset per run: the steady-state
-    // sweep loop reuses every slab/node/monitor instead of rebuilding a
-    // deployment per (profile, detector, seed).  Results are byte-identical
-    // to fresh-cluster execution (pinned by determinism_test).
+    // One pooled cluster and one soak host per worker thread, reset per
+    // run: the steady-state sweep loop reuses every slab/node/monitor and
+    // every app table instead of rebuilding a deployment per (profile,
+    // detector, seed).  Results are byte-identical to fresh execution
+    // (pinned by determinism_test and soak_test).
     std::optional<harness::Cluster> pooled;
+    soak::SoakHost host;
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= items.size()) return;
@@ -316,7 +319,7 @@ SweepResult run_sweep(const SweepOptions& opts) {
       const auto t0 = Clock::now();
       if (opts.soak) {
         soak::Workload w = soak::generate_workload(item.seed, opts.soak_opts);
-        soak::SoakResult sres = soak::run_soak(sched, w, exec, opts.soak_opts, *pooled);
+        soak::SoakResult sres = soak::run_soak(sched, w, exec, opts.soak_opts, *pooled, host);
         stamp(run, item, allocs_before, t0);
         run.ok = sres.ok();
         copy_exec(run, sres.exec);

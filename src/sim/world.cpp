@@ -611,6 +611,11 @@ void SimWorld::discard_elided(const Event& e) {
 bool SimWorld::try_skip() {
   if (!horizon_fn_ || front_heap() != &queue_) return false;
   if (live_foreground(queue_.front())) return false;
+  return skip_to_horizon(horizon_fn_(now_));
+}
+
+bool SimWorld::skip_to_horizon(Tick target) {
+  assert(front_heap() == &queue_ && !live_foreground(queue_.front()));
   const Tick front_time = queue_.front().time;
   // The skip frontier: the background layer's earliest-effect horizon caps
   // it, and scripted faults / live protocol work pin it.  Scripts and
@@ -622,7 +627,6 @@ bool SimWorld::try_skip() {
   // floor as soon as one pair pins it — as unsteady pairs do under storm
   // delays or a live fault axis — so such spans still take small skips up
   // to the next wave rather than failing out.
-  Tick target = horizon_fn_(now_);
   if (target <= front_time) return false;
   Tick fg_next = scripts_.empty() ? kNeverTick : scripts_.front().time;
   for (const Event& e : queue_) {
@@ -752,7 +756,9 @@ bool SimWorld::run_until_protocol_idle(Tick settle, uint64_t max_events) {
       const Tick h = horizon_fn_(now_);
       if (h == kNeverTick) return true;
       if (h > now_) {
-        if (try_skip()) continue;
+        // Nothing live is queued (fg_pending_ == 0, so no scripts either):
+        // skip on the horizon just walked rather than walking it again.
+        if (skip_to_horizon(h)) continue;
         if (steps >= max_events) return false;
         ++steps;
         step();

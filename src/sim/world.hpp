@@ -497,6 +497,10 @@ class SimWorld {
   /// Release whatever an elided event owns (packet slot + payload buffer,
   /// timer slot, wave fan) without running it.
   void discard_elided(const Event& e);
+  /// try_skip() past its guards with the horizon already queried at `now_`
+  /// (so each skip attempt walks the background layer once).  Requires the
+  /// next event to be on the main heap and not live foreground.
+  bool skip_to_horizon(Tick horizon);
   void push_event(Tick time, EventKind kind, uint32_t a, uint64_t gen = 0);
   /// Queue a script or crash on the script heap (same seq counter).
   void push_script(Tick time, EventKind kind, uint32_t a);

@@ -29,6 +29,18 @@
 // Terminal checks (APP-R3, APP-Q1) are liveness-flavoured and only
 // asserted when the harness says the run quiesced with GMP-5 preconditions
 // (mirrors how check_gmp gates GMP-5).
+//
+// Every clause keys on ids, so check_app builds one open-addressed index
+// keyed by id in a single pass over the app trace: per id, its first
+// registry commit (APP-R1, R2, R4) and its work-item facts (submitter,
+// known to a survivor, done, current claim: APP-Q1, Q2).  Write ids and
+// work-item ids share one numeric space, so an entry carries both roles.
+// Beside it sit APP-R2's newest-applied table per (replica, key) and
+// APP-R4's install table per (process, view); every clause then does O(1)
+// lookups.  Violations keep their text and order: APP-Q2's findings are
+// kept in trace order and reported after APP-R4, and APP-Q1 sorts only
+// the violating ids.  The tables live per thread and keep their capacity
+// across calls.
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,22 @@
 #include "soak/availability.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <vector>
+
+#include "common/flat_set.hpp"
 
 namespace gmpx::soak {
 
 namespace {
 
-struct ViewSnap {
-  std::vector<ProcessId> members;  ///< sorted (recorder canonical form)
-  bool seen = false;
-};
-
+/// The replay state.  Kept per thread and cleared per call, so repeated
+/// calls reuse its capacity.
 struct State {
-  std::set<ProcessId> crashed;
-  std::map<ProcessId, ViewSnap> latest_view;
+  FlatSet<ProcessId> crashed;
+  /// Latest installed view per process, ascending ids.  The member lists
+  /// are the recorder's own install events (sorted, canonical form), which
+  /// outlive the call.
+  FlatMap<ProcessId, const std::vector<ProcessId>*> latest_view;
   ProcessId mgr = kNilId;  ///< actor of the most recent kBecameMgr
 };
 
@@ -33,7 +33,7 @@ bool majority_live(const std::vector<ProcessId>& members, const State& st,
 const std::vector<ProcessId>& view_of(const State& st, ProcessId p,
                                       const std::vector<ProcessId>& initial) {
   auto it = st.latest_view.find(p);
-  if (it != st.latest_view.end() && it->second.seen) return it->second.members;
+  if (it != st.latest_view.end()) return *it->second;
   return initial;  // nothing installed yet: the commonly-known Memb^0
 }
 
@@ -47,15 +47,15 @@ bool available(const State& st, bool has_mgr_events, const std::vector<ProcessId
   }
   // Coordinator-less trace: any live process that is the most senior
   // member of its own latest view, with that view majority-live, counts.
-  for (const auto& [p, snap] : st.latest_view) {
+  for (const auto& [p, members] : st.latest_view) {
     if (st.crashed.count(p)) continue;
-    const std::vector<ProcessId>& v = snap.seen ? snap.members : initial;
+    const std::vector<ProcessId>& v = *members;
     if (!v.empty() && v.front() == p && majority_live(v, st, require_majority)) return true;
   }
   // Processes that never installed anything still hold Memb^0.
   for (ProcessId p : initial) {
     if (st.crashed.count(p)) continue;
-    if (st.latest_view.count(p)) continue;  // judged above
+    if (st.latest_view.find(p) != st.latest_view.end()) continue;  // judged above
     if (!initial.empty() && initial.front() == p &&
         majority_live(initial, st, require_majority)) {
       return true;
@@ -76,7 +76,11 @@ double availability_from_trace(const trace::Recorder& rec, Tick end_tick,
     if (e.kind == trace::EventKind::kBecameMgr) has_mgr_events = true;
   });
 
-  State st;
+  thread_local State state;
+  State& st = state;
+  st.crashed.clear();
+  st.latest_view.clear();
+  st.mgr = kNilId;
   Tick prev = 0;
   Tick up = 0;
   bool cur = available(st, has_mgr_events, initial, require_majority);
@@ -90,12 +94,9 @@ double availability_from_trace(const trace::Recorder& rec, Tick end_tick,
       case trace::EventKind::kCrash:
         st.crashed.insert(e.actor);
         break;
-      case trace::EventKind::kInstall: {
-        ViewSnap& snap = st.latest_view[e.actor];
-        snap.members = e.members;  // already sorted
-        snap.seen = true;
+      case trace::EventKind::kInstall:
+        st.latest_view[e.actor] = &e.members;
         break;
-      }
       case trace::EventKind::kBecameMgr:
         st.mgr = e.actor;
         break;

@@ -6,9 +6,21 @@
 
 namespace gmpx::soak {
 
+void SoakHost::reset(const Workload& w, const SoakOptions& opts) {
+  w_ = &w;
+  opts_ = &opts;
+  cluster_ = nullptr;
+  trace_.reset();
+  ids_.clear();
+  attempted_ = 0;
+  rejected_ = 0;
+  sync_passes_ = 0;
+  converged_ = false;
+}
+
 void SoakHost::attach(harness::Cluster& c) {
   cluster_ = &c;
-  for (ProcessId id : c.ids()) make_node(id);
+  for (ProcessId id : c.ids()) bind_node(id);
   ids_.assign(c.ids().begin(), c.ids().end());
   std::sort(ids_.begin(), ids_.end());
   for (size_t i = 0; i < w_->ops.size(); ++i) {
@@ -25,8 +37,9 @@ bool SoakHost::on_quiesced(harness::Cluster& c, int pass) {
   // oracle only fires on real crash events.  With real clocks a timeout
   // detector would report it; at quiescence, inject that suspicion and let
   // the membership protocol exclude it (the view change re-dispatches).
-  if (const std::vector<ProcessId> frontier = survivors(); !frontier.empty()) {
-    const ProcessId obs = frontier.front();
+  survivors_into(survivors_);
+  if (!survivors_.empty()) {
+    const ProcessId obs = survivors_.front();
     Context* ctx = cluster_->world().context_of(obs);
     bool injected = false;
     for (ProcessId m : cluster_->node(obs).view().members()) {
@@ -53,8 +66,14 @@ bool SoakHost::on_quiesced(harness::Cluster& c, int pass) {
 }
 
 std::vector<ProcessId> SoakHost::survivors() const {
-  ViewVersion frontier = 0;
   std::vector<ProcessId> out;
+  survivors_into(out);
+  return out;
+}
+
+void SoakHost::survivors_into(std::vector<ProcessId>& out) const {
+  ViewVersion frontier = 0;
+  out.clear();
   for (ProcessId id : ids_) {
     if (!serving(id)) continue;
     const ViewVersion v = cluster_->node(id).view().version();
@@ -64,7 +83,6 @@ std::vector<ProcessId> SoakHost::survivors() const {
     }
     if (v == frontier) out.push_back(id);
   }
-  return out;
 }
 
 AppVerdict SoakHost::judge(const scenario::Schedule& s, const scenario::ExecResult& r,
@@ -77,25 +95,50 @@ AppVerdict SoakHost::judge(const scenario::Schedule& s, const scenario::ExecResu
   // that was held to liveness.  Stalled or stall-allowed runs only get the
   // safety clauses.
   aopts.check_terminal = r.quiesced && r.liveness_checked;
-  v.check = check_app(trace_, cluster_->recorder(), s, survivors(), final_states(), aopts);
+  survivors_into(survivors_);
+  // Survivor counts vary per run: park surplus states rather than destroy
+  // them, so their tables keep capacity for the next larger run.
+  while (finals_.size() > survivors_.size()) {
+    spare_finals_.push_back(std::move(finals_.back()));
+    finals_.pop_back();
+  }
+  while (finals_.size() < survivors_.size() && !spare_finals_.empty()) {
+    finals_.push_back(std::move(spare_finals_.back()));
+    spare_finals_.pop_back();
+  }
+  final_states_into(survivors_, finals_);
+  v.check = check_app(trace_, cluster_->recorder(), s, survivors_, finals_, aopts);
   return v;
 }
 
 std::vector<ReplicaState> SoakHost::final_states() const {
+  survivors_into(survivors_);
   std::vector<ReplicaState> out;
-  for (ProcessId id : survivors()) {
-    const PerNode& pn = *nodes_[id];
-    ReplicaState st;
-    st.id = id;
-    st.registry.assign(pn.registry.data().begin(), pn.registry.data().end());
-    for (const auto& [tid, t] : pn.queue.tasks()) st.queue.emplace_back(tid, t.state);
-    out.push_back(std::move(st));
-  }
+  final_states_into(survivors_, out);
   return out;
 }
 
-void SoakHost::make_node(ProcessId id) {
+void SoakHost::final_states_into(const std::vector<ProcessId>& survivors,
+                                 std::vector<ReplicaState>& out) const {
+  out.resize(survivors.size());
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    const PerNode& pn = *nodes_[survivors[i]];
+    ReplicaState& st = out[i];
+    st.id = survivors[i];
+    st.registry.assign(pn.registry.data().begin(), pn.registry.data().end());
+    st.queue.clear();
+    for (const auto& [tid, t] : pn.queue.tasks()) st.queue.emplace_back(tid, t.state);
+  }
+}
+
+void SoakHost::bind_node(ProcessId id) {
   if (id >= nodes_.size()) nodes_.resize(id + 1);
+  if (PerNode* pn = nodes_[id].get()) {
+    pn->group.rebind(&cluster_->node(id));
+    pn->registry.reset();
+    pn->queue.reset();
+    return;
+  }
   auto ctx = [this, id]() { return cluster_->world().context_of(id); };
   nodes_[id] = std::make_unique<PerNode>(&cluster_->node(id), &trace_, ctx);
   PerNode& pn = *nodes_[id];
@@ -105,8 +148,13 @@ void SoakHost::make_node(ProcessId id) {
   pn.group.on_view_change([&pn](const gmp::View&) { pn.queue.on_view(); });
 }
 
+size_t SoakHost::held_payloads() const {
+  size_t held = 0;
+  for (ProcessId id : ids_) held += nodes_[id]->group.held();
+  return held;
+}
+
 bool SoakHost::serving(ProcessId id) const {
-  if (id >= nodes_.size() || !nodes_[id]) return false;
   if (!cluster_->has_node(id)) return false;
   if (!cluster_->world().context_of(id)) return false;  // crashed
   const gmp::GmpNode& n = cluster_->node(id);
@@ -149,7 +197,8 @@ void SoakHost::run_op(const WorkloadOp& op) {
 }
 
 bool SoakHost::converged() const {
-  const std::vector<ProcessId> s = survivors();
+  survivors_into(survivors_);
+  const std::vector<ProcessId>& s = survivors_;
   if (s.empty()) return true;
   const PerNode& first = *nodes_[s[0]];
   for (ProcessId id : s) {

@@ -1,25 +1,33 @@
 #include "soak/runner.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <sstream>
-#include <vector>
 
-#include "app/registry.hpp"
-#include "app/work_queue.hpp"
 #include "harness/cluster.hpp"
 #include "scenario/minimizer.hpp"
 #include "soak/host.hpp"
 
 namespace gmpx::soak {
 
-namespace {
+std::string SoakResult::message() const {
+  std::ostringstream os;
+  const std::string exec_msg = exec.message();
+  if (!exec_msg.empty()) os << exec_msg;
+  if (!app_check.ok()) os << app_check.message();
+  return os.str();
+}
 
-SoakResult run_on(const scenario::Schedule& s, const Workload& w,
-                  const scenario::ExecOptions& exec_opts, const SoakOptions& sopts,
-                  harness::Cluster& cluster) {
-  SoakHost host(w, sopts);
+SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
+                    const scenario::ExecOptions& exec_opts, const SoakOptions& sopts) {
+  harness::Cluster cluster{harness::ClusterOptions{}};
+  SoakHost host;
+  return run_soak(s, w, exec_opts, sopts, cluster, host);
+}
+
+SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
+                    const scenario::ExecOptions& exec_opts, const SoakOptions& sopts,
+                    harness::Cluster& cluster, SoakHost& host) {
+  host.reset(w, sopts);
   scenario::ExecOptions opts = exec_opts;
   opts.on_pre_start = [&host](harness::Cluster& c) { host.attach(c); };
   opts.on_quiesced = [&host](harness::Cluster& c, int pass) { return host.on_quiesced(c, pass); };
@@ -34,28 +42,6 @@ SoakResult run_on(const scenario::Schedule& s, const Workload& w,
   r.availability = v.availability;
   r.app_check = std::move(v.check);
   return r;
-}
-
-}  // namespace
-
-std::string SoakResult::message() const {
-  std::ostringstream os;
-  const std::string exec_msg = exec.message();
-  if (!exec_msg.empty()) os << exec_msg;
-  if (!app_check.ok()) os << app_check.message();
-  return os.str();
-}
-
-SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
-                    const scenario::ExecOptions& exec_opts, const SoakOptions& sopts) {
-  harness::Cluster cluster{harness::ClusterOptions{}};
-  return run_on(s, w, exec_opts, sopts, cluster);
-}
-
-SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
-                    const scenario::ExecOptions& exec_opts, const SoakOptions& sopts,
-                    harness::Cluster& cluster) {
-  return run_on(s, w, exec_opts, sopts, cluster);
 }
 
 void minimize_soak(scenario::Schedule& s, Workload& w, const SoakFailPredicate& fails,

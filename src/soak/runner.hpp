@@ -29,6 +29,8 @@ class Cluster;
 
 namespace gmpx::soak {
 
+class SoakHost;
+
 struct SoakResult {
   scenario::ExecResult exec;     ///< membership-level verdict (GMP-1..5)
   trace::CheckResult app_check;  ///< application-level verdict (APP-*)
@@ -48,14 +50,16 @@ struct SoakResult {
   std::string message() const;
 };
 
-/// Replay schedule + workload on a fresh cluster.
+/// Replay schedule + workload on a fresh cluster and host.
 SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
                     const scenario::ExecOptions& exec_opts, const SoakOptions& sopts);
 
-/// Pooled variant (the sweep keeps one cluster per worker thread).
+/// Pooled variant: the sweep keeps one cluster and one host per worker
+/// thread, and every run resets both in place.  Byte-identical to the
+/// one-shot form (pinned by soak_test).
 SoakResult run_soak(const scenario::Schedule& s, const Workload& w,
                     const scenario::ExecOptions& exec_opts, const SoakOptions& sopts,
-                    harness::Cluster& cluster);
+                    harness::Cluster& cluster, SoakHost& host);
 
 /// True when the (candidate schedule, candidate workload) pair still
 /// reproduces a failure (minimizer plumbing).

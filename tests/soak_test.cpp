@@ -21,6 +21,7 @@
 #include "scenario/generator.hpp"
 #include "scenario/schedule.hpp"
 #include "soak/availability.hpp"
+#include "soak/host.hpp"
 #include "soak/runner.hpp"
 #include "soak/workload.hpp"
 #include "trace/recorder.hpp"
@@ -263,6 +264,131 @@ TEST(Soak, SoakRunsAreReproducible) {
   EXPECT_EQ(a.sync_passes, b.sync_passes);
 }
 
+namespace {
+
+/// Everything a soak run exposes: the verdict, the app trace, the final
+/// replica states and the membership trace hash.
+struct SoakSnapshot {
+  std::string verdict;
+  bool ok = false;
+  bool quiesced = false;
+  double availability = 0.0;
+  uint64_t attempted = 0, rejected = 0;
+  size_t sync_passes = 0;
+  uint64_t trace_hash = 0;
+  std::vector<std::tuple<uint64_t, Tick, int, ProcessId, ProcessId, uint64_t, uint32_t,
+                         ViewVersion>>
+      events;
+  std::vector<std::tuple<ProcessId, std::vector<std::pair<uint32_t, uint64_t>>,
+                         std::vector<std::pair<uint64_t, uint8_t>>>>
+      finals;
+};
+
+SoakSnapshot snapshot(const SoakResult& r, const soak::SoakHost& host) {
+  SoakSnapshot s;
+  s.verdict = r.message();
+  s.ok = r.ok();
+  s.quiesced = r.exec.quiesced;
+  s.availability = r.availability;
+  s.attempted = r.ops_attempted;
+  s.rejected = r.ops_rejected;
+  s.sync_passes = r.sync_passes;
+  s.trace_hash = r.exec.trace_hash;
+  for (const app::AppEvent& e : host.trace().events()) {
+    s.events.emplace_back(e.seq, e.tick, static_cast<int>(e.kind), e.actor, e.peer, e.id, e.key,
+                          e.view);
+  }
+  for (const soak::ReplicaState& f : host.final_states()) {
+    s.finals.emplace_back(f.id, f.registry, f.queue);
+  }
+  return s;
+}
+
+struct SoakCase {
+  size_t n;
+  scenario::Profile profile;
+  fd::DetectorKind fd;
+  uint64_t seed;
+  uint64_t max_sim_events = 5'000'000;  ///< small = a stalled run
+  bool inject_bug = false;              ///< GMP-1 violations = a failing run
+};
+
+}  // namespace
+
+TEST(Soak, PooledHostMatchesFreshHost) {
+  // One SoakHost serves every run below, reset in place, in an order that
+  // moves from n = 9 to n = 5 and back, takes runs with joiners, runs that
+  // end with future-view payloads still held, a stalled run and a failing
+  // run.  Each must match a fresh host.  Both sides run the same sequence
+  // on their own pooled cluster, so only the host differs (a stalled run's
+  // diagnostic lists armed timers in the world's slot order, which depends
+  // on the cluster's history).
+  SoakOptions sopts;
+  sopts.horizon = 60'000;
+  sopts.ops = 64;
+  using scenario::Profile;
+  using fd::DetectorKind;
+  const std::vector<SoakCase> cases = {
+      {9, Profile::kPartitionHeavy, DetectorKind::kOracle, 4},  // held 3, 2 joiners
+      {5, Profile::kMixed, DetectorKind::kHeartbeat, 3},
+      {5, Profile::kMixed, DetectorKind::kOracle, 26},  // held 1, 1 joiner
+      {5, Profile::kChurnHeavy, DetectorKind::kPhi, 5},
+      {9, Profile::kBurstCrash, DetectorKind::kOracle, 19},  // held 2, 4 joiners
+      {5, Profile::kPartitionHeavy, DetectorKind::kHeartbeat, 7, 300},
+      {5, Profile::kLossy, DetectorKind::kOracle, 11},
+      {5, Profile::kMixed, DetectorKind::kOracle, 1, 5'000'000, true},
+      {9, Profile::kLossy, DetectorKind::kPhi, 2},
+      {5, Profile::kChurnHeavy, DetectorKind::kOracle, 8},
+  };
+  std::vector<Schedule> schedules;
+  std::vector<Workload> workloads;
+  std::vector<scenario::ExecOptions> execs;
+  for (const SoakCase& c : cases) {
+    scenario::ExecOptions exec;
+    exec.fd = c.fd;
+    exec.max_sim_events = c.max_sim_events;
+    exec.inject_bug_unrecorded_suspicion = c.inject_bug;
+    scenario::GeneratorOptions base;
+    base.n = c.n;
+    schedules.push_back(
+        scenario::generate(c.seed, scenario::unit_generator(base, c.profile, exec, &sopts)));
+    workloads.push_back(soak::generate_workload(c.seed, sopts));
+    execs.push_back(exec);
+  }
+
+  harness::Cluster fresh_cluster{harness::ClusterOptions{}};
+  harness::Cluster pooled_cluster{harness::ClusterOptions{}};
+  soak::SoakHost pooled_host;
+  size_t held_runs = 0, joiner_runs = 0, stalled = 0, failed = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    soak::SoakHost fresh_host;
+    const SoakSnapshot fresh = snapshot(
+        soak::run_soak(schedules[i], workloads[i], execs[i], sopts, fresh_cluster, fresh_host),
+        fresh_host);
+    const SoakSnapshot pooled = snapshot(soak::run_soak(schedules[i], workloads[i], execs[i],
+                                                        sopts, pooled_cluster, pooled_host),
+                                         pooled_host);
+    EXPECT_EQ(pooled.verdict, fresh.verdict) << "case " << i;
+    EXPECT_EQ(pooled.ok, fresh.ok) << "case " << i;
+    EXPECT_EQ(pooled.availability, fresh.availability) << "case " << i;
+    EXPECT_EQ(pooled.attempted, fresh.attempted) << "case " << i;
+    EXPECT_EQ(pooled.rejected, fresh.rejected) << "case " << i;
+    EXPECT_EQ(pooled.sync_passes, fresh.sync_passes) << "case " << i;
+    EXPECT_EQ(pooled.trace_hash, fresh.trace_hash) << "case " << i;
+    EXPECT_EQ(pooled.events, fresh.events) << "case " << i;
+    EXPECT_EQ(pooled.finals, fresh.finals) << "case " << i;
+    held_runs += pooled_host.held_payloads() > 0;
+    joiner_runs += pooled_cluster.ids().size() > cases[i].n;
+    stalled += !fresh.quiesced;
+    failed += !fresh.ok;
+  }
+  // The grid really covers what it claims to.
+  EXPECT_GE(held_runs, 3u);
+  EXPECT_GE(joiner_runs, 3u);
+  EXPECT_GE(stalled, 1u);
+  EXPECT_GE(failed, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Joint schedule + workload minimization
 // ---------------------------------------------------------------------------
@@ -441,4 +567,78 @@ TEST(Soak, WorkQueueTruncatedPayloadsApplyWhatParses) {
       {5, 2, 2, 9}, {6, 2, 2, 3},      {7, 3, kNilId, 0}, {8, 1, kNilId, 0},
   };
   EXPECT_EQ(task_rows(q.tasks()), expected);
+}
+
+TEST(Soak, WorkQueueDispatchPayloadsArePinned) {
+  // The coordinator's queue meets two out-of-order 'Q' tables, items held
+  // by a departed worker, items assigned to itself, and a view change that
+  // strands the items it assigned to the crashed p2.  Every payload it
+  // broadcasts reaches p1 verbatim, in send order; the app events pin the
+  // reclaim/assign/exec order behind them.
+  AppWire f;
+  app::AppTrace trace;
+  app::WorkQueue q(f.groups[0].get(), &trace, f.ctx(0));
+  f.groups[0]->on_message([&](ProcessId from, std::string_view m) { q.handle(from, m); });
+  f.groups[0]->on_view_change([&](const gmp::View&) { q.on_view(); });
+  f.cluster.crash_at(5000, 2);
+  f.cluster.start();
+  f.cluster.world().at(3000, [&] {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.client_submit());
+    // Out of order: a done item, one held by p1 (kept), one by departed p9
+    // (reclaimed), one merely submitted (assigned), one assigned to p0
+    // itself (executed here), and a stale stamp that loses to the local one.
+    EXPECT_TRUE(q.handle(1, "Q 50:2:0:7 20:1:4294967295:0 40:2:9:3 30:3:2:1 10:2:1:2 "
+                            "4294967297:2:0:1"));
+  });
+  f.cluster.world().at(8000, [&] {
+    // After p2's exclusion, which reclaimed what p2 held: a second unsorted
+    // table completes one item, strands one at p2, and reassigns one to p0
+    // with a newer stamp (executed here).
+    EXPECT_TRUE(q.handle(1, "Q 70:1:4294967295:0 10:3:1:2 45:2:2:9 20:2:0:8589934600"));
+    q.sync_round();
+  });
+  ASSERT_TRUE(f.cluster.run_to_quiescence());
+  const std::vector<std::string> wire = {
+      "s 4294967297", "a 4294967297 1 4294967297",
+      "s 4294967298", "a 4294967298 2 4294967298",
+      "s 4294967299", "a 4294967299 1 4294967299",
+      "d 50",
+      "a 20 2 4294967300",
+      "a 40 1 4294967301",
+      "a 20 1 8589934593",
+      "a 4294967298 1 8589934594",
+      "d 20",
+      "a 45 1 8589934595",
+      "a 70 1 8589934596",
+      "Q 10:3:1:2 20:3:0:8589934600 30:3:2:1 40:2:1:4294967301 45:2:1:8589934595 50:3:0:7 "
+      "70:2:1:8589934596 4294967297:2:1:4294967297 4294967298:2:1:8589934594 "
+      "4294967299:2:1:4294967299",
+  };
+  EXPECT_EQ(f.at_p1, wire);
+  std::vector<std::string> events;
+  for (const app::AppEvent& e : trace.events()) {
+    std::string line = std::string(app::to_string(e.kind)) + " " + std::to_string(e.id);
+    if (e.peer != kNilId) line += " p" + std::to_string(e.peer);
+    line += " v" + std::to_string(e.view);
+    events.push_back(line);
+  }
+  const std::vector<std::string> expected_events = {
+      "submit 4294967297 v1", "assign 4294967297 p1 v1",
+      "submit 4294967298 v1", "assign 4294967298 p2 v1",
+      "submit 4294967299 v1", "assign 4294967299 p1 v1",
+      "mirror 50 v1",         "mirror 20 v1",
+      "mirror 40 v1",         "mirror 30 v1",
+      "task-done 30 v1",      "mirror 10 v1",
+      "exec 50 v1",           "task-done 50 v1",
+      "assign 20 p2 v1",      "reclaim 40 p9 v1",
+      "assign 40 p1 v1",      "reclaim 20 p2 v2",
+      "assign 20 p1 v2",      "reclaim 4294967298 p2 v2",
+      "assign 4294967298 p1 v2", "mirror 70 v2",
+      "task-done 10 v2",      "mirror 45 v2",
+      "exec 20 v2",           "task-done 20 v2",
+      "reclaim 45 p2 v2",     "assign 45 p1 v2",
+      "assign 70 p1 v2",
+  };
+  EXPECT_EQ(events, expected_events);
+  EXPECT_FALSE(q.all_done());
 }
